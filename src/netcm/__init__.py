@@ -67,6 +67,13 @@ from .criteria import (
     xi_matrix,
     xi_report,
 )
-from .feasibility import FeasibilityOutcome, FeasibilityProblem, solve, verify_witness
+from .feasibility import (
+    FeasibilityOutcome,
+    FeasibilityProblem,
+    InfeasibilityCertificate,
+    solve,
+    verify_certificate,
+    verify_witness,
+)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line front end: parse specs, run criteria, emit reports.
 
 Exit codes: 0 criterion satisfied / decomposition feasible, 1 violated /
-infeasible-evidence, 2 inconclusive, 64 malformed spec or usage, 74 file
-I/O failure.  Reports are JSON (or CSV for scans), written atomically,
-byte-identical for identical inputs.
+infeasible / infeasible-evidence, 2 inconclusive, 64 malformed spec, usage
+or non-finite input, 74 file I/O failure.  Reports are JSON (or CSV for
+scans), written atomically, byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _check_report(report: CriterionReport, state_spec, obs_spec, topo_spec) -> dict:
@@ -271,14 +271,31 @@ def report_schema() -> str:
                 "required": ["schema_version", "status", "residual", "iterations"],
                 "properties": {
                     "schema_version": {"const": SCHEMA_VERSION},
-                    "status": {"enum": ["feasible", "infeasible-evidence", "inconclusive"]},
+                    "status": {"enum": ["feasible", "infeasible", "infeasible-evidence",
+                                        "inconclusive"]},
                     "residual": {"type": "number"},
                     "iterations": {"type": "number"},
+                    "certificate": {"$ref": "#/definitions/certificate"},
                     "witness_manifest": {"type": ["string", "null"]},
                     "state_spec": {"type": ["object", "null"]},
                     "observables_spec": {"type": ["string", "object", "null"]},
                     "topology": {"type": ["object", "null"]},
                     "note": {"type": "string"},
+                },
+            },
+            "certificate": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["kind", "iteration"],
+                "properties": {
+                    "kind": {"enum": ["separating-hyperplane", "uncovered-pair"]},
+                    "epsilon": {"type": "number"},
+                    "inner_product": {"type": "number"},
+                    "delta": {"type": "number"},
+                    "iteration": {"type": "integer"},
+                    "pair": {"type": "array", "items": {"type": "string"},
+                             "minItems": 2, "maxItems": 2},
+                    "block_max_abs": {"type": "number"},
                 },
             },
         },
@@ -464,22 +481,20 @@ def cmd_feasibility(args) -> int:
     manifest_path = None
     if args.witness_dir:
         manifest_path = str(export_witness(problem, outcome, args.witness_dir))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "status": outcome.status,
-        "residual": outcome.residual,
-        "iterations": outcome.iterations,
+    payload = {"schema_version": SCHEMA_VERSION}
+    payload.update(outcome.to_dict())
+    payload.update({
         "witness_manifest": manifest_path,
         "state_spec": state_spec,
         "observables_spec": obs_name,
         "topology": topology_to_spec(topo),
-        "note": ("infeasible-evidence is not a certificate; a dual certificate "
-                 "would require an SDP solver"),
-    }
+        "note": ("infeasible-evidence is not a certificate; an infeasible verdict "
+                 "carries one, checkable with verify_certificate"),
+    })
     _emit_json(args.output, payload)
     if outcome.status == "feasible":
         return EXIT_PASS
-    if outcome.status == "infeasible-evidence":
+    if outcome.status in ("infeasible", "infeasible-evidence"):
         return EXIT_FAIL
     return EXIT_INCONCLUSIVE
 

@@ -42,6 +42,8 @@ class BlockCovarianceMatrix:
             raise ValueError(f"node labels must be unique: {labels}")
         if m.shape != (sum(sizes), sum(sizes)):
             raise ValueError(f"matrix shape {m.shape} does not match block sizes {sizes}")
+        if not np.isfinite(m).all():
+            raise ValueError("covariance matrix has non-finite (NaN or infinite) entries")
         dev = float(np.abs(m - m.T).max()) if m.size else 0.0
         if dev > SYMMETRY_TOL:
             raise ValueError(f"matrix is not symmetric: max|m - m^T| = {dev:.3e}")

@@ -9,9 +9,10 @@ or NCDS) network with bipartite/local sources and local channels:
   (``btn_cm_residual``);
 * the positivity criterion: full-basis CM minus the Kronecker product of
   single-factor marginal CMs must be PSD (``xi_matrix``);
-* the trace-norm criterion tr(Gamma) >= 2 sum ||gamma_xy||_tr over node
-  pairs, valid for every NCDS network (``trace_norm_criterion``), with
-  visibility scans and the GHZ fidelity bound built on top.
+* the trace-norm criterion tr(Gamma) >= sum w_xy ||gamma_xy||_tr over node
+  pairs (w_xy = 2 for bipartite sources), valid for every NCDS network
+  (``trace_norm_criterion``), with visibility scans and the GHZ fidelity
+  bound built on top.
 """
 
 from __future__ import annotations
@@ -95,11 +96,14 @@ class CriterionReport:
 
 def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology,
                          tolerance: float = 1e-9) -> CriterionReport:
-    """tr(Gamma) >= 2 sum_{x>y} ||gamma_xy||_tr, necessary for any NCDS network state.
+    """tr(Gamma) >= sum_{x<y} w_xy ||gamma_xy||_tr, necessary for any NCDS network state.
 
-    The topology only guards the NCDS requirement; the inequality itself sums
-    over all node pairs and therefore excludes violating states from every
-    NCDS network, regardless of which sources it declares.
+    A pair of nodes fed by a common source k, which feeds m_k nodes, has
+    weight w_xy = 2 / (m_k - 1): every PSD block matrix T over m nodes obeys
+    sum_{x<y} 2 ||T_xy||_tr <= (m - 1) tr T, and in an NCDS network the pair
+    block is the block of that one source's summand.  A pair fed by no
+    common source has weight 2; its block vanishes on every network state,
+    so any weight is sound there.  With bipartite sources every weight is 2.
     """
     if not topology.is_ncds():
         raise ValueError("the trace-norm criterion applies to NCDS topologies only")
@@ -107,15 +111,25 @@ def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology
         raise ValueError(
             f"CM nodes {gamma.node_labels} do not match topology nodes {topology.nodes}"
         )
+    weights = {}
+    for s in topology.sources:
+        for i, x in enumerate(s):
+            for y in s[i + 1:]:
+                weights[frozenset((x, y))] = 2.0 / (len(s) - 1)
     lhs = gamma.trace()
-    pair_norms = {}
+    pair_norms, pair_weights = {}, {}
+    rhs = 0.0
     for i, x in enumerate(gamma.node_labels):
         for y in gamma.node_labels[i + 1:]:
-            pair_norms[f"{x}{y}"] = trace_norm(gamma.block(x, y))
-    rhs = 2.0 * sum(pair_norms.values())
-    return CriterionReport.from_values(
-        "trace-norm", lhs, rhs, tolerance, {"pair_trace_norms": pair_norms}
-    )
+            norm = trace_norm(gamma.block(x, y))
+            weight = weights.get(frozenset((x, y)), 2.0)
+            pair_norms[f"{x}{y}"] = norm
+            pair_weights[f"{x}{y}"] = weight
+            rhs += weight * norm
+    details = {"pair_trace_norms": pair_norms}
+    if any(w != 2.0 for w in pair_weights.values()):
+        details["pair_weights"] = pair_weights
+    return CriterionReport.from_values("trace-norm", lhs, rhs, tolerance, details)
 
 
 # -- triangle source decomposition ------------------------------------------

@@ -4,11 +4,30 @@ Whether a covariance matrix splits into per-source PSD summands (off-diagonal
 blocks fixed, diagonal blocks free but summing to the CM's diagonal blocks)
 is a convex feasibility problem.  It is solved here with Dykstra's
 alternating projections between the product of PSD cones and the affine
-constraint set.  A converged iterate is returned as an explicit witness;
-a residual that plateaus well above the tolerance is reported as
-"infeasible-evidence".  That evidence is *not* a certificate: a dual
-certificate would require an SDP solver, which this module deliberately
-does not depend on.
+constraint set A.  A converged iterate is returned as an explicit witness.
+
+Infeasibility is proved by a separating hyperplane read off the gap between
+the two iterates.  Let Y be the PSD iterate minus the affine iterate,
+projected onto lin(A)^perp (symmetrized, and each node's free diagonal
+blocks replaced by their mean over the summands that carry the node), let
+eps = max_k max(-lambda_min(Y_k), 0), and let a0 be any point of A.  Every
+feasible tuple T lies in A, so <Y, T> = <Y, a0>, and has PSD summands with
+sum_k tr T_k = tr Gamma, so <Y, T> >= -eps tr Gamma.  Hence
+
+    <Y, a0> < -eps tr Gamma - delta
+
+proves that no decomposition exists.  The margin delta = CERT_RTOL ||Y|| ||a0||
+(Frobenius norms) covers the rounding of the inner product, of the
+eigenvalues and of a0 itself.  The check runs at iterations 1, 2, 4, 8, ...
+and at the cap, so converging solves pay for O(log iterations) checks; a
+certificate that passes it is confirmed by ``verify_certificate`` before the
+solver stops with status "infeasible".  A residual that plateaus at the cap
+without a certificate is reported as "infeasible-evidence".
+
+Summands are stored compactly: summand k lives on the rows and columns of
+its nodes only, padded with zeros to a common size m (PSD projection keeps
+a zero border zero), and all summands form one real (K, m, m) stack, so an
+iteration is one batched ``eigh`` plus array operations.
 """
 
 from __future__ import annotations
@@ -27,6 +46,12 @@ from .topology import NetworkTopology, SourceMask, block_pattern
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 50000
+# certificate margin delta = CERT_RTOL * ||Y|| * ||a0||.  With unit roundoff
+# u = 1.1e-16, rounding moves <Y, a0> by at most about K m^2 u ||Y|| ||a0||,
+# the eigenvalues by about m u ||Y|| (times tr Gamma <= sqrt(K m) ||a0||) and
+# a0 off A by about u ||a0||: all below 1e-9 ||Y|| ||a0|| for stacks of up to
+# 10^6 entries, far beyond what a dense solver handles
+CERT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,60 +76,285 @@ class FeasibilityProblem:
 
 
 @dataclass(frozen=True)
-class FeasibilityOutcome:
-    """Solver verdict: status, witness (when feasible), residual trace."""
+class InfeasibilityCertificate:
+    """A checkable proof that no source decomposition exists.
 
-    status: str  # "feasible" | "infeasible-evidence" | "inconclusive"
+    Either ``pair``, two nodes that no summand carries whose CM block is
+    nonzero (largest entry ``block_max_abs``), or ``separator``, one full
+    n x n matrix per summand defining a separating hyperplane (see the
+    module docstring) together with the solver's ``epsilon``,
+    ``inner_product`` and ``delta`` and the ``iteration`` it was found at.
+    ``verify_certificate`` reads only the pair or the separator.
+    """
+
+    separator: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    pair: tuple[str, str] | None = None
+    block_max_abs: float = 0.0
+    epsilon: float = 0.0
+    inner_product: float = 0.0
+    delta: float = 0.0
+    iteration: int = 0
+
+    def to_dict(self) -> dict:
+        if self.pair is not None:
+            return {"kind": "uncovered-pair", "pair": list(self.pair),
+                    "block_max_abs": self.block_max_abs, "iteration": self.iteration}
+        return {"kind": "separating-hyperplane", "epsilon": self.epsilon,
+                "inner_product": self.inner_product, "delta": self.delta,
+                "iteration": self.iteration}
+
+
+@dataclass(frozen=True)
+class FeasibilityOutcome:
+    """Solver verdict: status, witness (when feasible), certificate (when
+    infeasible), residual trace."""
+
+    status: str  # "feasible" | "infeasible" | "infeasible-evidence" | "inconclusive"
     witness: tuple[np.ndarray, ...] | None
     residual: float
     iterations: int
     residual_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
+    certificate: InfeasibilityCertificate | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "status": self.status,
             "residual": self.residual,
             "iterations": self.iterations,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_dict()
+        return out
 
 
 def _node_slices(gamma: BlockCovarianceMatrix) -> dict[str, slice]:
     return {x: gamma.node_slice(x) for x in gamma.node_labels}
 
 
+class _Stack:
+    """Compact stacked layout of the summands of one problem.
+
+    ``index[k]`` lists the CM rows of summand k's nodes; compact row i of
+    summand k is CM row ``index[k][i]`` and rows past ``len(index[k])`` are
+    zero padding.  Entries where ``fixed`` holds are pinned to ``target``
+    (off-diagonal blocks, non-free diagonal blocks, padding); the others are
+    free diagonal-block entries, and ``free`` lists them as flat indices,
+    ``group`` names the (node, row, column) each one belongs to, and the
+    entries of one group must sum to ``diag[group]`` over the ``counts``
+    summands that carry the node.
+    """
+
+    def __init__(self, problem: FeasibilityProblem):
+        gamma = problem.gamma
+        nodes = gamma.node_labels
+        sl = _node_slices(gamma)
+        supports = [[x for x in nodes if x in set(mask.free_nodes).union(*mask.fixed_pairs)]
+                    for mask in problem.masks]
+        self.index = [np.array([i for x in sup for i in range(sl[x].start, sl[x].stop)], dtype=int)
+                      for sup in supports]
+        k_count, m = len(problem.masks), max(len(ix) for ix in self.index)
+        size = dict(zip(nodes, gamma.block_sizes))
+        self.fixed = np.ones((k_count, m, m), dtype=bool)
+        self.target = np.zeros((k_count, m, m))
+        carriers: dict[str, list[tuple[int, int]]] = {x: [] for x in nodes}
+        for k, (mask, sup) in enumerate(zip(problem.masks, supports)):
+            offset, o = {}, 0
+            for x in sup:
+                offset[x], o = o, o + size[x]
+            for x in sup:
+                rx = slice(offset[x], offset[x] + size[x])
+                for y in sup:
+                    ry = slice(offset[y], offset[y] + size[y])
+                    if x == y:
+                        if x in mask.free_nodes:
+                            self.fixed[k, rx, rx] = False
+                            carriers[x].append((k, offset[x]))
+                    elif not mask.zero_block(x, y):
+                        self.target[k, rx, ry] = gamma.block(x, y)
+        free, group, diag, counts = [], [], [], []
+        for x in nodes:
+            if not carriers[x]:
+                raise ValueError(f"node {x!r} is fed by no source; its diagonal block cannot be matched")
+            d = size[x]
+            rows = np.arange(d)
+            first = len(diag)
+            for k, o in carriers[x]:
+                free.append((k * m + o + rows[:, None]) * m + o + rows[None, :])
+                group.append(first + np.arange(d * d).reshape(d, d))
+            diag.extend(gamma.block(x, x).ravel())
+            counts.extend([len(carriers[x])] * (d * d))
+        self.free = np.concatenate([f.ravel() for f in free])
+        self.group = np.concatenate([g.ravel() for g in group])
+        self.diag = np.asarray(diag, dtype=float)
+        self.counts = np.asarray(counts, dtype=float)
+        self.shape = (k_count, m, m)
+        self.n = gamma.dim
+
+    def _group_sums(self, z: np.ndarray) -> np.ndarray:
+        return np.bincount(self.group, weights=z.reshape(-1)[self.free], minlength=self.diag.size)
+
+    def start(self) -> np.ndarray:
+        """The point of A that gives each carrier an equal share of every diagonal block."""
+        a0 = self.target.copy()
+        a0.reshape(-1)[self.free] = (self.diag / self.counts)[self.group]
+        return a0
+
+    def affine(self, z: np.ndarray) -> np.ndarray:
+        """Euclidean projection onto A: pin the fixed entries and spread each
+        node's diagonal deficit equally over its carriers."""
+        out = np.where(self.fixed, self.target, z)
+        share = (self.diag - self._group_sums(out)) / self.counts
+        out.reshape(-1)[self.free] += share[self.group]
+        return out
+
+    def violation(self, y: np.ndarray) -> float:
+        """Max-abs violation of the affine constraints."""
+        pinned = float(np.abs(np.where(self.fixed, y - self.target, 0.0)).max(initial=0.0))
+        return max(pinned, float(np.abs(self._group_sums(y) - self.diag).max(initial=0.0)))
+
+    def separator(self, z: np.ndarray) -> np.ndarray:
+        """Projection onto lin(A)^perp: symmetrize, then replace free entries by
+        their mean over the node's carriers."""
+        y = 0.5 * (z + np.swapaxes(z, 1, 2))
+        y.reshape(-1)[self.free] = (self._group_sums(y) / self.counts)[self.group]
+        return y
+
+    def to_full(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        out = []
+        for zk, ix in zip(z, self.index):
+            t = np.zeros((self.n, self.n))
+            t[np.ix_(ix, ix)] = zk[:len(ix), :len(ix)]
+            out.append(t)
+        return tuple(out)
+
+    def from_full(self, ts: Sequence[np.ndarray]) -> np.ndarray:
+        z = np.zeros(self.shape)
+        for zk, t, ix in zip(z, ts, self.index):
+            zk[:len(ix), :len(ix)] = np.asarray(t, dtype=float)[np.ix_(ix, ix)]
+        return z
+
+
 def affine_project(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> list[np.ndarray]:
     """Exact Euclidean projection onto the affine constraint set.
 
     Off-diagonal blocks of each summand are overwritten with their mask
-    values; the diagonal deficit of every node is spread equally over the
-    summands that carry that node.
+    values, blocks outside the summand's source are zeroed, and the
+    diagonal deficit of every node is spread equally over the summands that
+    carry that node.
     """
+    stack = _Stack(problem)
+    return list(stack.to_full(stack.affine(stack.from_full(ts))))
+
+
+def _uncovered_pair(problem: FeasibilityProblem) -> tuple[tuple[str, str] | None, float]:
+    """The node pair no summand carries with the largest CM block, and that block's max-abs entry."""
     gamma = problem.gamma
-    sl = _node_slices(gamma)
     nodes = gamma.node_labels
-    out = [t.copy() for t in ts]
-    for t, mask in zip(out, problem.masks):
-        for i, x in enumerate(nodes):
-            for y in nodes[i + 1:]:
-                blk = gamma.block(x, y) if not mask.zero_block(x, y) else 0.0
-                t[sl[x], sl[y]] = blk
-                t[sl[y], sl[x]] = np.transpose(blk) if isinstance(blk, np.ndarray) else 0.0
-        for x in nodes:
-            if x not in mask.free_nodes:
-                t[sl[x], sl[x]] = 0.0
-    for x in nodes:
-        carriers = [k for k, mask in enumerate(problem.masks) if x in mask.free_nodes]
-        if not carriers:
-            raise ValueError(f"node {x!r} is fed by no source; its diagonal block cannot be matched")
-        deficit = gamma.block(x, x) - sum(out[k][sl[x], sl[x]] for k in carriers)
-        share = deficit / len(carriers)
-        for k in carriers:
-            out[k][sl[x], sl[x]] += share
-    return out
+    worst, pair = 0.0, None
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            if all(mask.zero_block(x, y) for mask in problem.masks):
+                size = float(np.abs(gamma.block(x, y)).max(initial=0.0))
+                if pair is None or size > worst:
+                    worst, pair = size, (x, y)
+    return pair, worst
 
 
-def _psd_project_all(ts: Sequence[np.ndarray]) -> list[np.ndarray]:
-    return [psd_project(t).real for t in ts]
+DIAGONAL_SLACK = "diagonal-slack"
+
+
+def _with_slack(problem: FeasibilityProblem) -> FeasibilityProblem:
+    slack = SourceMask(source=(DIAGONAL_SLACK,), fixed_pairs=frozenset(),
+                       free_nodes=frozenset(problem.gamma.node_labels))
+    return FeasibilityProblem(problem.gamma, problem.topology, problem.masks + (slack,))
+
+
+def _hyperplane_test(y: np.ndarray, a0: np.ndarray, trace: float) -> tuple[bool, float, float, float]:
+    """Whether ``y`` (already in lin(A)^perp) separates: (passes, eps, <y, a0>, delta)."""
+    eps = max(0.0, -float(np.linalg.eigvalsh(y)[..., 0].min()))
+    inner = float(np.vdot(y, a0))
+    delta = CERT_RTOL * float(np.linalg.norm(y)) * float(np.linalg.norm(a0))
+    return inner < -eps * trace - delta, eps, inner, delta
+
+
+def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER, allow_diagonal_slack: bool = False) -> FeasibilityOutcome:
+    """Dykstra alternating projections between the PSD cones and the affine set.
+
+    Stops as soon as the PSD iterate satisfies the affine constraints within
+    ``tol`` (status "feasible", the iterate is the witness), or as soon as a
+    separating-hyperplane certificate verifies (status "infeasible", see the
+    module docstring).  A CM block between two nodes that no source links
+    is "infeasible" at once, with that pair as the certificate.  At
+    ``max_iter`` without a certificate the verdict is "infeasible-evidence"
+    if the residual plateaued at or above ``10 * tol`` over the last tenth
+    of the run, else "inconclusive".
+
+    ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
+    free block-diagonal PSD summand, padded to the full CM size.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if allow_diagonal_slack:
+        problem = _with_slack(problem)
+    pair, blocked = _uncovered_pair(problem)
+    if blocked > tol:
+        # a CM block between nodes no source connects cannot be matched by
+        # any choice of summands; no amount of iteration changes that
+        cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
+        return FeasibilityOutcome("infeasible", None, blocked, 0, np.array([blocked]), cert)
+    stack = _Stack(problem)
+    a0 = stack.start()
+    trace = problem.gamma.trace()
+    # Dykstra needs no correction term for the affine set: its correction
+    # lies in lin(A)^perp, which the projection onto A ignores
+    x = psd_project(a0)
+    p = np.zeros_like(x)
+    history = np.empty(max_iter)
+    status, certificate, next_check = "inconclusive", None, 1
+    for it in range(1, max_iter + 1):
+        y = psd_project(x + p)
+        p += x - y
+        x = stack.affine(y)
+        history[it - 1] = max(stack.violation(y), blocked)
+        if history[it - 1] <= tol:
+            status = "feasible"
+            break
+        if it == next_check or it == max_iter:
+            next_check *= 2
+            sep = stack.separator(y - x)
+            ok, eps, inner, delta = _hyperplane_test(sep, a0, trace)
+            if ok:
+                cert = InfeasibilityCertificate(stack.to_full(sep), epsilon=eps, inner_product=inner,
+                                                delta=delta, iteration=it)
+                if verify_certificate(problem, cert):
+                    status, certificate = "infeasible", cert
+                    break
+    history = history[:it]
+    if status == "inconclusive" and history[-max(1, max_iter // 10):].min() >= 10.0 * tol:
+        status = "infeasible-evidence"
+    witness = stack.to_full(y) if status == "feasible" else None
+    return FeasibilityOutcome(status, witness, float(history[-1]), it, history, certificate)
+
+
+def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
+                   tol: float = DEFAULT_TOL) -> bool:
+    """Independent check of a decomposition witness.
+
+    Each summand must be PSD within ``tol``, carry the mask's off-diagonal
+    blocks within ``tol``, be zero outside its source within ``tol``, and
+    the diagonal blocks must sum to the CM's within ``tol``.
+    """
+    if len(witness) != len(problem.masks):
+        raise ValueError(f"need {len(problem.masks)} summands, got {len(witness)}")
+    n = problem.gamma.dim
+    mats = [np.asarray(t, dtype=float) for t in witness]
+    if any(t.shape != (n, n) for t in mats):
+        raise ValueError("witness summand shapes do not match the CM")
+    for t in mats:
+        if float(np.linalg.eigvalsh(0.5 * (t + t.T))[0]) < -tol:
+            return False
+    return _affine_violation(mats, problem) <= tol
 
 
 def _affine_violation(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> float:
@@ -125,99 +375,55 @@ def _affine_violation(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> 
         worst = max(worst, float(np.abs(total - gamma.block(x, x)).max(initial=0.0)))
     # node pairs carried by no summand: the total decomposition has zero
     # there, so the CM block itself must vanish
-    worst = max(worst, _uncovered_mismatch(problem))
+    worst = max(worst, _uncovered_pair(problem)[1])
     return worst
 
 
-def _uncovered_mismatch(problem: FeasibilityProblem) -> float:
+def verify_certificate(problem: FeasibilityProblem, certificate: InfeasibilityCertificate) -> bool:
+    """Independent check that ``certificate`` proves ``problem`` infeasible.
+
+    Only the certificate's pair or separator matrices are read; its epsilon,
+    inner product and margin are recomputed here, on full n x n matrices,
+    without the solver's compact layout.  A pair certificate holds if no
+    summand carries the pair and the CM block between them is nonzero.  A
+    separator must be finite, lie in lin(A)^perp within ``CERT_RTOL``
+    relative to its norm, and satisfy <Y, a0> < -eps tr Gamma - delta for
+    the equal-share point a0 of the affine set (module docstring).
+    """
     gamma = problem.gamma
-    nodes = gamma.node_labels
-    worst = 0.0
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            if all(mask.zero_block(x, y) for mask in problem.masks):
-                worst = max(worst, float(np.abs(gamma.block(x, y)).max(initial=0.0)))
-    return worst
-
-
-DIAGONAL_SLACK = "diagonal-slack"
-
-
-def _with_slack(problem: FeasibilityProblem) -> FeasibilityProblem:
-    slack = SourceMask(source=(DIAGONAL_SLACK,), fixed_pairs=frozenset(),
-                       free_nodes=frozenset(problem.gamma.node_labels))
-    return FeasibilityProblem(problem.gamma, problem.topology, problem.masks + (slack,))
-
-
-def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, allow_diagonal_slack: bool = False) -> FeasibilityOutcome:
-    """Dykstra alternating projections between the PSD cones and the affine set.
-
-    Stops as soon as the PSD iterate satisfies the affine constraints within
-    ``tol`` (status "feasible", the iterate is the witness).  At ``max_iter``
-    the verdict is "infeasible-evidence" if the residual plateaued at or
-    above ``10 * tol`` over the last tenth of the run, else "inconclusive".
-
-    ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
-    free block-diagonal PSD summand.
-    """
-    if allow_diagonal_slack:
-        problem = _with_slack(problem)
-    blocked = _uncovered_mismatch(problem)
-    if blocked > tol:
-        # a CM block between nodes no source connects cannot be matched by
-        # any choice of summands; no amount of iteration changes that
-        return FeasibilityOutcome("infeasible-evidence", None, float(blocked), 0,
-                                  np.array([blocked]))
-    n = problem.gamma.dim
-    base = problem.gamma.matrix / len(problem.masks)
-    start = affine_project([base.copy() for _ in problem.masks], problem)
-    x = _psd_project_all(start)
-    p = [np.zeros((n, n)) for _ in problem.masks]
-    q = [np.zeros((n, n)) for _ in problem.masks]
-
-    history = np.empty(max_iter)
-    iterations = 0
-    status = "inconclusive"
-    residual = np.inf
-    for it in range(max_iter):
-        y = _psd_project_all([xi + pi for xi, pi in zip(x, p)])
-        p = [xi + pi - yi for xi, pi, yi in zip(x, p, y)]
-        x = affine_project([yi + qi for yi, qi in zip(y, q)], problem)
-        q = [yi + qi - xi for yi, qi, xi in zip(y, q, x)]
-        residual = _affine_violation(y, problem)
-        history[it] = residual
-        iterations = it + 1
-        if residual <= tol:
-            status = "feasible"
-            break
-    history = history[:iterations]
-    if status != "feasible" and iterations == max_iter:
-        tail = history[-max(1, max_iter // 10):]
-        if tail.min() >= 10.0 * tol:
-            status = "infeasible-evidence"
-    witness = tuple(y) if status == "feasible" else None
-    return FeasibilityOutcome(status, witness, float(residual), iterations, history)
-
-
-def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
-                   tol: float = DEFAULT_TOL) -> bool:
-    """Independent check of a decomposition witness.
-
-    Each summand must be PSD within ``tol``, carry the mask's off-diagonal
-    blocks within ``tol``, and the diagonal blocks must sum to the CM's
-    within ``tol``.
-    """
-    if len(witness) != len(problem.masks):
-        raise ValueError(f"need {len(problem.masks)} summands, got {len(witness)}")
-    n = problem.gamma.dim
-    mats = [np.asarray(t, dtype=float) for t in witness]
-    if any(t.shape != (n, n) for t in mats):
-        raise ValueError("witness summand shapes do not match the CM")
-    for t in mats:
-        if float(np.linalg.eigvalsh(0.5 * (t + t.T))[0]) < -tol:
+    if certificate.pair is not None:
+        x, y = certificate.pair
+        return (all(mask.zero_block(x, y) for mask in problem.masks)
+                and float(np.abs(gamma.block(x, y)).max(initial=0.0)) > 0.0)
+    if len(certificate.separator) != len(problem.masks):
+        raise ValueError(f"need {len(problem.masks)} separator matrices, "
+                         f"got {len(certificate.separator)}")
+    n = gamma.dim
+    if any(np.shape(t) != (n, n) for t in certificate.separator):
+        raise ValueError("separator shapes do not match the CM")
+    ys = np.array(certificate.separator, dtype=float)
+    if not np.isfinite(ys).all():
+        return False
+    sl = _node_slices(gamma)
+    proj = 0.5 * (ys + np.swapaxes(ys, 1, 2))
+    a0 = np.zeros_like(ys)
+    for x in gamma.node_labels:
+        carriers = [k for k, mask in enumerate(problem.masks) if x in mask.free_nodes]
+        if not carriers:
             return False
-    return _affine_violation(mats, problem) <= tol
+        proj[carriers, sl[x], sl[x]] = proj[carriers, sl[x], sl[x]].mean(axis=0)
+        a0[carriers, sl[x], sl[x]] = gamma.block(x, x) / len(carriers)
+    for k, mask in enumerate(problem.masks):
+        for pair in mask.fixed_pairs:
+            x, y = sorted(pair)
+            a0[k, sl[x], sl[y]] = gamma.block(x, y)
+            a0[k, sl[y], sl[x]] = gamma.block(y, x)
+    if np.linalg.norm(ys - proj) > CERT_RTOL * np.linalg.norm(ys):
+        return False
+    eps = max(0.0, -float(np.linalg.eigvalsh(proj)[:, 0].min()))
+    inner = float(np.vdot(proj, a0))
+    delta = CERT_RTOL * float(np.linalg.norm(proj)) * float(np.linalg.norm(a0))
+    return inner < -eps * gamma.trace() - delta
 
 
 def witness_from_parts(parts: Sequence[np.ndarray], remainder: np.ndarray,
@@ -242,15 +448,23 @@ def witness_from_parts(parts: Sequence[np.ndarray], remainder: np.ndarray,
 
 
 def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, directory) -> Path:
-    """Write one NCMX file per source summand plus a JSON manifest."""
+    """Write one NCMX file per source summand plus a JSON manifest.
+
+    A feasible outcome writes its witness as ``witness_{k}.ncmx``; an
+    infeasible one writes its separator, if it has one, as
+    ``certificate_{k}.ncmx`` and records the certificate in the manifest.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = []
-    if outcome.witness is not None:
-        for k, t in enumerate(outcome.witness):
-            name = f"witness_{k}.ncmx"
-            ncmx.write_matrix(directory / name, t.astype(complex))
-            files.append(name)
+
+    def write_all(prefix: str, mats) -> list[str]:
+        names = []
+        for k, t in enumerate(mats or ()):
+            names.append(f"{prefix}_{k}.ncmx")
+            ncmx.write_matrix(directory / names[-1], t.astype(complex))
+        return names
+
+    cert = outcome.certificate
     manifest = {
         "format": "netcm-witness",
         "version": 1,
@@ -271,12 +485,14 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
             }
             for m in problem.masks
         ],
-        "witness_files": files,
-        "note": ("infeasible-evidence is not a certificate; a dual certificate "
-                 "would require an SDP solver"),
+        "witness_files": write_all("witness", outcome.witness),
+        "certificate_files": write_all("certificate", cert.separator if cert else ()),
+        "certificate": cert.to_dict() if cert else None,
+        "note": ("infeasible-evidence is not a certificate; an infeasible verdict "
+                 "carries one, checkable with verify_certificate"),
     }
     path = directory / "manifest.json"
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+    tmp.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     tmp.replace(path)
     return path

@@ -217,8 +217,21 @@ def is_psd(m, tol: float = 1e-9) -> bool:
 
 
 def psd_project(m) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: eigenvalues clipped at zero."""
-    h = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(h)
+    """Nearest PSD matrix in Frobenius norm: eigenvalues clipped at zero.
+
+    Real input stays real and complex input stays complex.  A stack of
+    shape ``(..., n, n)`` is projected matrix by matrix with one batched
+    ``eigh``; every matrix must be Hermitian within ``HERMITICITY_TOL``.
+    """
+    m = np.asarray(m)
+    if not np.iscomplexobj(m):
+        m = m.astype(float, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    mh = np.swapaxes(m, -1, -2).conj()
+    dev = float(np.abs(m - mh).max()) if m.size else 0.0
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} > {HERMITICITY_TOL:.1e}")
+    vals, vecs = np.linalg.eigh(0.5 * (m + mh))
     clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.conj().T
+    return (vecs * clipped[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()

@@ -36,7 +36,7 @@ def write_matrix(path, matrix) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a complex matrix from an NCMX file."""
+    """Read a complex matrix from an NCMX file; non-finite entries are rejected."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise NcmxError(f"{path}: truncated header")
@@ -49,4 +49,6 @@ def read_matrix(path) -> np.ndarray:
     if len(data) != need:
         raise NcmxError(f"{path}: expected {need} bytes, found {len(data)}")
     flat = np.frombuffer(data, dtype="<c16", offset=_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise NcmxError(f"{path}: matrix has non-finite (NaN or infinite) entries")
     return flat.astype(complex).reshape(rows, cols)

@@ -153,7 +153,67 @@ class TestFeasibility:
                     "--observables", "pauli-z", "--topology", "triangle",
                     "--max-iter", "2000"])
         assert code == 1
-        assert load_report(capsys)["status"] == "infeasible-evidence"
+        assert load_report(capsys)["status"] == "infeasible"
+
+    def test_certified_report_validates(self, tmp_path, capsys):
+        from netcm.covariance import covariance_matrix
+        from netcm.feasibility import (FeasibilityProblem, InfeasibilityCertificate,
+                                       verify_certificate)
+        from netcm.ncmx import read_matrix
+        from netcm.observables import named_observable_set
+        from netcm.topology import triangle_topology
+
+        code = run(["feasibility", "--state", "ghz", "--visibility", "0.8",
+                    "--observables", "pauli-z", "--topology", "triangle",
+                    "--witness-dir", str(tmp_path / "w")])
+        assert code == 1
+        payload = load_report(capsys)
+        validator().validate(payload)
+        assert payload["status"] == "infeasible"
+        cert = payload["certificate"]
+        assert cert["kind"] == "separating-hyperplane"
+        assert cert["inner_product"] < -cert["epsilon"] * 3.0 - cert["delta"]
+        manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        assert manifest["certificate"] == cert
+        rho = mix_white_noise(ghz_state(3, 2), 0.8)
+        problem = FeasibilityProblem(
+            covariance_matrix(named_observable_set("pauli-z", rho.layout), rho),
+            triangle_topology())
+        separator = tuple(read_matrix(tmp_path / "w" / f).real
+                          for f in manifest["certificate_files"])
+        assert len(separator) == 3
+        assert verify_certificate(problem, InfeasibilityCertificate(separator))
+
+    def test_uncovered_pair_report(self, tmp_path, capsys):
+        code = run(["feasibility", "--state", "ghz", "--parties", "5", "--visibility", "0.3",
+                    "--observables", "pauli-z", "--topology", "line",
+                    "--witness-dir", str(tmp_path / "w")])
+        assert code == 1
+        payload = load_report(capsys)
+        validator().validate(payload)
+        assert payload["certificate"]["pair"] == ["A", "C"]
+        manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        assert manifest["certificate_files"] == []
+        assert manifest["certificate"]["kind"] == "uncovered-pair"
+
+    @pytest.mark.parametrize("bad", [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)]
+                             + [complex(0.0, v) for v in (np.nan, np.inf, -np.inf)])
+    def test_non_finite_cm_file_is_64(self, tmp_path, capsys, bad):
+        from netcm.covariance import covariance_matrix, save_cm
+        from netcm.observables import named_observable_set
+
+        rho = mix_white_noise(ghz_state(3, 2), 0.3)
+        g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+        save_cm(g, tmp_path / "g.ncmx")
+        m = g.matrix.astype(complex)
+        m[0, 1] = bad
+        write_matrix(tmp_path / "g.ncmx", m)
+        out = tmp_path / "report.json"
+        code = run(["feasibility", "--cm-file", str(tmp_path / "g.ncmx"),
+                    "--topology", "triangle", "--output", str(out)])
+        assert code == 64
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
 
     def test_cm_file_input(self, tmp_path, capsys):
         from netcm.covariance import covariance_matrix, save_cm

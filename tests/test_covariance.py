@@ -308,3 +308,10 @@ class TestIo:
             BlockCovarianceMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (1, 1), ("A", "B"))
         with pytest.raises(ValueError, match="PSD"):
             BlockCovarianceMatrix(-np.eye(2), (1, 1), ("A", "B"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockCovarianceMatrix(m, (1, 1), ("A", "B"))

@@ -14,7 +14,13 @@ from netcm.criteria import (
     xi_matrix,
     xi_report,
 )
-from netcm.observables import full_product_set, named_observable_set, pauli_basis
+from netcm.observables import (
+    Observable,
+    ObservableSet,
+    full_product_set,
+    named_observable_set,
+    pauli_basis,
+)
 from netcm.states import (
     bell_pair,
     btn_assemble,
@@ -23,10 +29,13 @@ from netcm.states import (
     ghz_state,
     maximally_mixed,
     mix_white_noise,
+    network_state,
+    pure_state,
     random_source,
     split_nodes,
     w_state,
 )
+from netcm.linalg import SubsystemLayout
 from netcm.topology import NetworkTopology, block_pattern, is_ncds, line_topology, triangle_topology
 
 
@@ -135,6 +144,64 @@ class TestTraceNormCriterion:
             assert rotated.passed == rep.passed
             assert rotated.lhs == pytest.approx(rep.lhs, abs=1e-9)
             assert rotated.rhs == pytest.approx(rep.rhs, abs=1e-9)
+
+
+    def test_three_node_source_weighted(self):
+        # GHZ3 from source {A,B,C} and a Bell pair from {C,D}, sigma_z on every
+        # factor: a genuine network state that an unweighted sum excludes
+        topo = NetworkTopology(("A", "B", "C", "D"), (("A", "B", "C"), ("C", "D")))
+        rho = network_state(topo, [ghz_state(3, 2), bell_pair(2)])
+        sz = np.diag([1.0, -1.0])
+        obs = ObservableSet(tuple(Observable(sz, node, (label,))
+                                  for label, node in zip(rho.layout.labels, rho.layout.nodes)))
+        g = covariance_matrix(obs, rho)
+        rep = trace_norm_criterion(g, topo)
+        assert rep.lhs == pytest.approx(5.0)
+        assert rep.margin == pytest.approx(0.0, abs=1e-12)
+        assert rep.passed
+        assert rep.details["pair_weights"] == {"AB": 1.0, "AC": 1.0, "AD": 2.0,
+                                               "BC": 1.0, "BD": 2.0, "CD": 2.0}
+
+    def test_bipartite_reports_have_no_weights(self):
+        rho = mix_white_noise(ghz_state(3, 2), 0.6)
+        g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+        assert "pair_weights" not in trace_norm_criterion(g, triangle_topology()).details
+
+
+def _random_ncds_with_triple(rng):
+    """Random NCDS topology on 4-5 nodes with a three-node source, at most 8 factors."""
+    while True:
+        nodes = tuple("ABCDE"[:int(rng.integers(4, 6))])
+        sources = [tuple(str(x) for x in rng.choice(nodes, 3, replace=False))]
+        for _ in range(int(rng.integers(1, 4))):
+            cand = tuple(str(x) for x in rng.choice(nodes, int(rng.integers(2, 4)), replace=False))
+            if NetworkTopology(nodes, tuple(sources) + (cand,)).is_ncds():
+                sources.append(cand)
+        if set().union(*sources) == set(nodes) and sum(map(len, sources)) <= 8:
+            return NetworkTopology(nodes, tuple(sources))
+
+
+def test_trace_norm_holds_on_networks_with_three_node_sources(rng):
+    # generalized GHZ sources a|0..0> + b|1..1> with sigma_z on every factor
+    # saturate the per-source bound; a random observable per node adds noise
+    sz = np.diag([1.0, -1.0])
+    for _ in range(25):
+        topo = _random_ncds_with_triple(rng)
+        srcs = []
+        for s in topo.sources:
+            vec = np.zeros(2 ** len(s), dtype=complex)
+            vec[0], vec[-1] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            layout = SubsystemLayout((2,) * len(s), tuple(f"f{i}" for i in range(len(s))))
+            srcs.append(pure_state(vec, layout))
+        rho = network_state(topo, srcs)
+        obs = []
+        for x in rho.layout.node_order:
+            obs.extend(Observable(sz, x, (label,)) for label in rho.layout.factors_of(x))
+            d = rho.layout.node_dim(x)
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            obs.append(Observable(0.1 * (h + h.conj().T), x))
+        rep = trace_norm_criterion(covariance_matrix(ObservableSet(tuple(obs)), rho), topo)
+        assert rep.margin >= -1e-8 * (1.0 + rep.lhs)
 
 
 class TestVisibilityThreshold:

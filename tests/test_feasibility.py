@@ -7,22 +7,43 @@ from netcm.covariance import BlockCovarianceMatrix, covariance_matrix
 from netcm.criteria import btn_decompose, trace_norm_criterion
 from netcm.feasibility import (
     FeasibilityProblem,
+    InfeasibilityCertificate,
     affine_project,
     export_witness,
     solve,
+    verify_certificate,
     verify_witness,
     witness_from_parts,
 )
+from netcm.linalg import SubsystemLayout
 from netcm.ncmx import read_matrix
-from netcm.observables import full_product_set, named_observable_set
-from netcm.states import btn_assemble, ghz_state, mix_white_noise, random_source
-from netcm.topology import NetworkTopology, line_topology, triangle_topology
+from netcm.observables import Observable, ObservableSet, full_product_set, named_observable_set
+from netcm.states import (
+    btn_assemble,
+    ghz_state,
+    mix_white_noise,
+    pure_state,
+    random_density,
+    random_source,
+    w_state,
+)
+from netcm.topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
 
 
 def ghz_problem(v):
     rho = mix_white_noise(ghz_state(3, 2), v)
     g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
     return FeasibilityProblem(g, triangle_topology())
+
+
+def w_problem(v):
+    rho = mix_white_noise(w_state(), v)
+    g = covariance_matrix(named_observable_set("w-set", rho.layout), rho)
+    return FeasibilityProblem(g, triangle_topology())
+
+
+def slack_mask(problem):
+    return SourceMask(("diagonal-slack",), frozenset(), frozenset(problem.gamma.node_labels))
 
 
 def btn_problem(rng):
@@ -49,7 +70,7 @@ class TestSolve:
 
     def test_ghz_violating_cm_infeasible(self):
         out = solve(ghz_problem(0.6), tol=1e-7, max_iter=3000)
-        assert out.status == "infeasible-evidence"
+        assert out.status == "infeasible"
         assert out.residual >= 1e-6
 
     def test_feasible_ghz_below_threshold(self):
@@ -64,9 +85,13 @@ class TestSolve:
 
     def test_monotone_residual(self, rng):
         out = solve(ghz_problem(0.8), max_iter=2000)
+        assert len(out.residual_history) == out.iterations
+        prob, _, _ = btn_problem(rng)
+        out = solve(prob)
+        assert out.status == "feasible"
         h = out.residual_history
-        assert len(h) == 2000
-        assert (np.diff(h[100:]) <= 1e-12).all()
+        assert len(h) == out.iterations
+        assert (np.diff(h[10:]) <= 1e-12).all()
 
     def test_diagonal_slack_keeps_feasible(self, rng):
         prob, _, _ = btn_problem(rng)
@@ -81,8 +106,157 @@ class TestSolve:
             out = solve(prob, max_iter=2000)
             assert out.status != "feasible"
 
+    def test_cross_oracle_random_states(self, rng):
+        # noisy GHZ-like pure states with sigma_z plus one random observable
+        # per node: a CM the trace-norm criterion excludes is never feasible
+        layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
+        sz = np.diag([1.0, -1.0])
+        violated = 0
+        for _ in range(40):
+            vec = 0.2 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+            vec[0] += 1.0
+            vec[7] += rng.uniform(0.5, 1.5)
+            rho = mix_white_noise(pure_state(vec, layout), rng.uniform(0.4, 1.0))
+            obs = []
+            for x in "ABC":
+                h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                obs += [Observable(sz, x), Observable(0.3 * (h + h.conj().T), x)]
+            prob = FeasibilityProblem(covariance_matrix(ObservableSet(tuple(obs)), rho),
+                                      triangle_topology())
+            if not trace_norm_criterion(prob.gamma, prob.topology).passed:
+                violated += 1
+                out = solve(prob, max_iter=3000)
+                assert out.status != "feasible"
+        assert 5 <= violated <= 35
+
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(ghz_problem(0.8), max_iter=0)
+
+
+class TestCertificate:
+    def test_certifies_above_thresholds_within_eight_iterations(self):
+        problems = [ghz_problem(v) for v in (0.501, 0.6, 0.8, 1.0)]
+        problems += [w_problem(v) for v in (0.751, 0.8, 0.9, 1.0)]
+        for prob in problems:
+            out = solve(prob, max_iter=8)
+            assert out.status == "infeasible"
+            assert out.certificate.iteration <= 8
+            assert out.witness is None
+            assert verify_certificate(prob, out.certificate)
+            cert = out.certificate
+            assert cert.inner_product < -cert.epsilon * prob.gamma.trace() - cert.delta
+
+    def test_never_certified_below_thresholds(self):
+        problems = [ghz_problem(v) for v in (0.0, 0.3, 0.45, 0.499, 0.5)]
+        problems += [w_problem(v) for v in (0.3, 0.7, 0.749)]
+        for prob in problems:
+            out = solve(prob)
+            assert out.status == "feasible"
+            assert out.certificate is None
+
+    def test_random_btn_never_certified(self, rng):
+        for _ in range(50):
+            prob, _, _ = btn_problem(rng)
+            out = solve(prob)
+            assert out.status == "feasible"
+            assert out.certificate is None
+
+    def test_rejects_sign_flip(self):
+        prob = ghz_problem(0.8)
+        cert = solve(prob).certificate
+        flipped = InfeasibilityCertificate(tuple(-t for t in cert.separator))
+        assert not verify_certificate(prob, flipped)
+
+    def test_rejects_separator_off_the_normal_space(self):
+        # shifting one node's diagonal block between its two carriers leaves
+        # lin(A)^perp; the projection back would hide the change
+        prob = ghz_problem(0.8)
+        sep = [t.copy() for t in solve(prob).certificate.separator]
+        a = prob.gamma.node_slice("A")
+        sep[1][a, a] += 0.5  # source (C, A)
+        sep[2][a, a] -= 0.5  # source (A, B)
+        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
+
+    def test_rejects_eigenvalue_beyond_slack(self):
+        # A is outside source (B, C), so its diagonal block of summand 0 is
+        # pinned to zero: changing it keeps <Y, a0> and lowers lambda_min
+        prob = ghz_problem(0.8)
+        sep = [t.copy() for t in solve(prob).certificate.separator]
+        a = prob.gamma.node_slice("A")
+        assert verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
+        sep[0][a, a] -= 1.0
+        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
+
+    def test_rejects_non_finite_and_zero_separators(self):
+        prob = ghz_problem(0.8)
+        sep = [t.copy() for t in solve(prob).certificate.separator]
+        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(0 * t for t in sep)))
+        sep[0][0, 0] = np.nan
+        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
+        with pytest.raises(ValueError, match="separator"):
+            verify_certificate(prob, InfeasibilityCertificate(tuple(sep[:2])))
+
+    def test_uncovered_pair_certificate(self):
+        rho = mix_white_noise(ghz_state(5, 2), 0.3)
+        g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+        prob = FeasibilityProblem(g, line_topology(("A", "B", "C", "D", "E")))
+        out = solve(prob)
+        assert out.status == "infeasible"
+        assert out.iterations == 0
+        assert out.certificate.pair == ("A", "C")
+        assert out.certificate.block_max_abs == pytest.approx(0.3)
+        assert verify_certificate(prob, out.certificate)
+        assert not verify_certificate(prob, InfeasibilityCertificate(pair=("A", "B")))
+
+    def test_slack_certificate(self):
+        prob = ghz_problem(0.8)
+        out = solve(prob, allow_diagonal_slack=True, max_iter=300)
+        assert out.status == "infeasible"
+        assert len(out.certificate.separator) == 4
+        relaxed = FeasibilityProblem(prob.gamma, prob.topology,
+                                     tuple(block_pattern(prob.topology)) + (slack_mask(prob),))
+        assert verify_certificate(relaxed, out.certificate)
+
+
+def loop_affine_project(ts, problem):
+    """Block-by-block loop form of the affine projection, the reference for the stacked one."""
+    gamma = problem.gamma
+    sl = {x: gamma.node_slice(x) for x in gamma.node_labels}
+    nodes = gamma.node_labels
+    out = [np.array(t, dtype=float) for t in ts]
+    for t, mask in zip(out, problem.masks):
+        for i, x in enumerate(nodes):
+            for y in nodes[i + 1:]:
+                blk = gamma.block(x, y) if not mask.zero_block(x, y) else 0.0
+                t[sl[x], sl[y]] = blk
+                t[sl[y], sl[x]] = np.transpose(blk) if isinstance(blk, np.ndarray) else 0.0
+        for x in nodes:
+            if x not in mask.free_nodes:
+                t[sl[x], sl[x]] = 0.0
+    for x in nodes:
+        carriers = [k for k, mask in enumerate(problem.masks) if x in mask.free_nodes]
+        deficit = gamma.block(x, x) - sum(out[k][sl[x], sl[x]] for k in carriers)
+        for k in carriers:
+            out[k][sl[x], sl[x]] += deficit / len(carriers)
+    return out
+
 
 class TestAffineProjection:
+    def test_matches_loop_reference(self, rng):
+        prob, _, _ = btn_problem(rng)
+        four = NetworkTopology(("A", "B", "C", "D"), (("A", "B", "C"), ("C", "D"), ("A", "D")))
+        g4 = BlockCovarianceMatrix(random_density(7, rng).real, (2, 1, 3, 1), four.nodes)
+        problems = [prob, FeasibilityProblem(prob.gamma, prob.topology,
+                                             prob.masks + (slack_mask(prob),)),
+                    FeasibilityProblem(g4, four)]
+        for pr in problems:
+            n = pr.gamma.dim
+            ts = [rng.standard_normal((n, n)) for _ in pr.masks]
+            ts = [0.5 * (t + t.T) for t in ts]
+            for a, b in zip(affine_project(ts, pr), loop_affine_project(ts, pr)):
+                assert np.abs(a - b).max() <= 1e-12
+
     def test_idempotent(self, rng):
         prob, _, _ = btn_problem(rng)
         ts = [rng.standard_normal((48, 48)) for _ in range(3)]
@@ -147,6 +321,20 @@ class TestExport:
         back = read_matrix(tmp_path / "w" / "witness_0.ncmx")
         assert np.abs(back - out.witness[0]).max() <= 1e-15
         assert "not a certificate" in manifest["note"]
+
+    def test_certificate_files_verify(self, tmp_path):
+        prob = ghz_problem(0.9)
+        out = solve(prob)
+        manifest = json.loads(export_witness(prob, out, tmp_path / "c").read_text())
+        assert manifest["status"] == "infeasible"
+        assert manifest["witness_files"] == []
+        assert manifest["certificate_files"] == ["certificate_0.ncmx", "certificate_1.ncmx",
+                                                 "certificate_2.ncmx"]
+        assert manifest["certificate"]["kind"] == "separating-hyperplane"
+        back = [read_matrix(tmp_path / "c" / f) for f in manifest["certificate_files"]]
+        assert all(np.abs(m.imag).max() == 0.0 for m in back)
+        cert = InfeasibilityCertificate(tuple(m.real for m in back))
+        assert verify_certificate(prob, cert)
 
     def test_line_topology_problem(self, rng):
         # four-node line network: masks chain the off-diagonal blocks

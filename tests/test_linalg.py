@@ -235,6 +235,23 @@ class TestSpectral:
         assert np.allclose(psd_project(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
         assert np.abs(psd_project(-np.eye(3))).max() == 0.0
 
+    def test_psd_project_keeps_dtype(self, rng):
+        real = psd_project(np.diag([1.0, -1.0]))
+        assert real.dtype == np.float64
+        assert psd_project(hermitian(rng, 3)).dtype == np.complex128
+
+    def test_psd_project_stack_matches_each(self, rng):
+        stack = np.stack([hermitian(rng, 4) for _ in range(3)])
+        out = psd_project(stack)
+        assert out.shape == stack.shape
+        for got, h in zip(out, stack):
+            assert np.abs(got - psd_project(h)).max() <= 1e-12
+
+    def test_psd_project_stack_checks_hermiticity(self, rng):
+        stack = np.stack([hermitian(rng, 3), complex_matrix(rng, 3)])
+        with pytest.raises(ValueError, match="Hermitian"):
+            psd_project(stack)
+
     def test_psd_project_output_psd(self, rng):
         for _ in range(20):
             h = hermitian(rng, 6)

@@ -39,3 +39,14 @@ def test_rejects_truncation(tmp_path, rng):
     path.write_bytes(data[:-8])
     with pytest.raises(NcmxError, match="bytes"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(1.0, -np.inf)])
+def test_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "m.ncmx"
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    write_matrix(path, m)
+    with pytest.raises(NcmxError, match="non-finite"):
+        read_matrix(path)

@@ -46,16 +46,14 @@ from .observables import (
 )
 from .covariance import (
     BlockCovarianceMatrix,
-    block,
-    cm_of,
     covariance_matrix,
     load_cm,
-    mean_vector,
+    moments,
     product_state_cm,
     recombine_cm,
     save_cm,
 )
-from .topology import NetworkTopology, SourceMask, block_pattern, is_ncds, line_topology, triangle_topology
+from .topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
 from .criteria import (
     BtnDecomposition,
     CriterionReport,

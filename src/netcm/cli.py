@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +93,7 @@ def state_from_spec(spec: dict) -> DensityOperator:
         elif family == "bell":
             rho = bell_pair(int(params.get("dim", 2)))
         elif family == "btn":
-            sub = params.get("sources")
-            if sub is None and "bell_dim" in params:
-                sub = [{"family": "bell", "params": {"dim": int(params["bell_dim"])}}] * 3
-            if not isinstance(sub, list) or len(sub) != 3:
-                raise SpecError("btn family needs params.sources with exactly three state specs")
-            rho = btn_assemble(*[state_from_spec(s) for s in sub])
+            rho = btn_assemble(*_btn_sources(params))
         else:  # file
             path = params.get("path")
             dims = params.get("dims")
@@ -118,6 +112,16 @@ def state_from_spec(spec: dict) -> DensityOperator:
         d1, d2 = (int(d) for d in spec["split"])
         rho = split_nodes(rho, (d1, d2))
     return rho
+
+
+def _btn_sources(params: dict) -> list[DensityOperator]:
+    """The three source states (a, b, c) of a btn spec's params."""
+    sub = params.get("sources")
+    if sub is None and "bell_dim" in params:
+        sub = [{"family": "bell", "params": {"dim": int(params["bell_dim"])}}] * 3
+    if not isinstance(sub, list) or len(sub) != 3:
+        raise SpecError("btn family needs params.sources with exactly three state specs")
+    return [state_from_spec(s) for s in sub]
 
 
 def _parse_split(text: str | None) -> list[int] | None:
@@ -332,7 +336,7 @@ def cmd_check(args) -> int:
         gamma = covariance_matrix(obs, rho)
         report = trace_norm_criterion(gamma, topo, tolerance=args.tolerance)
     elif args.criterion == "xi-psd":
-        report = xi_report(rho)
+        report = xi_report(rho, obs)
     elif args.criterion == "btn-residual":
         report = btn_residual_report(rho, obs)
     else:
@@ -358,17 +362,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _worker_count() -> int:
-    cap = os.environ.get("NETCM_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise SpecError(f"NETCM_THREADS must be an integer, got {cap!r}") from None
-    return workers
-
-
 def cmd_scan(args) -> int:
     spec, _, obs_name, _ = _build_state_and_obs(args)
     base_spec = dict(spec)
@@ -383,22 +376,26 @@ def cmd_scan(args) -> int:
         return observables_from_spec(obs_name, rho) if obs_name else None
 
     grid = _parse_grid(args.grid)
+    # grid points run in turn, so NETCM_THREADS is unused; a malformed
+    # value still exits 64
+    cap = os.environ.get("NETCM_THREADS")
+    if cap is not None:
+        try:
+            int(cap)
+        except ValueError:
+            raise SpecError(f"NETCM_THREADS must be an integer, got {cap!r}") from None
 
     def evaluate(v: float):
         rho = family(float(v))
         topo = topology_from_spec(args.topology, rho.layout.node_order)
-        margin = criterion_margin(rho, build_obs(rho), args.criterion, topo)
+        obs = build_obs(rho)
         if args.criterion == "trace-norm":
-            rep = trace_norm_criterion(covariance_matrix(build_obs(rho), rho), topo)
+            rep = trace_norm_criterion(covariance_matrix(obs, rho), topo)
             return rep.lhs, rep.rhs, rep.margin, rep.passed
+        margin = criterion_margin(rho, obs, args.criterion, topo)
         return margin, 0.0, margin, margin >= 0.0
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, grid))
-    else:
-        rows = [evaluate(v) for v in grid]
+    rows = [evaluate(v) for v in grid]
 
     threshold = None
     if args.refine:
@@ -435,11 +432,7 @@ def cmd_decompose(args) -> int:
     spec = state_spec_from_args(args)
     if spec.get("family") != "btn":
         raise SpecError("decompose works on the btn family (three declared sources)")
-    params = spec.get("params", {})
-    sub = params.get("sources")
-    if sub is None and "bell_dim" in params:
-        sub = [{"family": "bell", "params": {"dim": int(params["bell_dim"])}}] * 3
-    sources = [state_from_spec(s) for s in sub]
+    sources = _btn_sources(spec.get("params", {}))
     rho = btn_assemble(*sources)
     obs = full_product_set(rho.layout)
     dec = btn_decompose(sources, obs)

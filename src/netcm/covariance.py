@@ -76,25 +76,23 @@ class BlockCovarianceMatrix:
         return float(np.trace(self.matrix))
 
 
-def block(gamma: BlockCovarianceMatrix, x: str, y: str) -> np.ndarray:
-    return gamma.block(x, y)
+def moments(observables: Sequence, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Means <O_m> and the Hermitian CM <O_m O_n> - <O_m><O_n> of observables on one state.
 
-
-def mean_vector(observables: Sequence, rho) -> np.ndarray:
-    """Expectation values <O_i>; the Bloch vector when the O_i are an orthogonal basis."""
+    The second moments are unsymmetrized: the real part is the symmetrized
+    CM, and the imaginary part carries the commutators of same-node
+    observables, which enter product formulas (the real part of a Kronecker
+    product of complex CMs differs from the Kronecker product of their real
+    parts whenever those observables fail to commute).  The means are the
+    Bloch vector when the O_m are an orthogonal basis.
+    """
     rho = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    mats = [o.matrix if isinstance(o, Observable) else np.asarray(o) for o in observables]
-    if any(m.shape != rho.shape for m in mats):
+    stack = np.stack([o.matrix if isinstance(o, Observable) else np.asarray(o) for o in observables])
+    if stack.shape[1:] != rho.shape:
         raise ValueError("observable dimensions do not match the state")
-    stack = np.stack(mats)
-    return np.einsum("mij,ji->m", stack, rho).real
-
-
-def _diagonal_block(stack: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized marginal CM and mean vector for observables on one node."""
     means = np.einsum("mij,ji->m", stack, rho).real
     second = np.einsum("mik,nkj,ji->mn", stack, stack, rho)
-    return second.real - np.outer(means, means), means
+    return means, second - np.outer(means, means)
 
 
 def _cross_block(stack_x, stack_y, rho_xy, means_x, means_y) -> np.ndarray:
@@ -132,8 +130,8 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     full = np.zeros((offsets[-1], offsets[-1]))
     for i, x in enumerate(nodes):
-        blk, means[x] = _diagonal_block(stacks[x], marginals[x])
-        full[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = blk
+        means[x], blk = moments(stacks[x], marginals[x])
+        full[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = blk.real
     for i, x in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             y = nodes[j]
@@ -147,29 +145,6 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
             full[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
     full = 0.5 * (full + full.T)
     return BlockCovarianceMatrix(full, tuple(sizes), nodes)
-
-
-def cm_of(observables: Sequence, rho) -> np.ndarray:
-    """Plain (single-block) symmetrized covariance matrix of observables on a state."""
-    rho = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    mats = [o.matrix if isinstance(o, Observable) else np.asarray(o) for o in observables]
-    blk, _ = _diagonal_block(np.stack(mats), rho)
-    return blk
-
-
-def cm_of_complex(observables: Sequence, rho) -> np.ndarray:
-    """Hermitian covariance matrix with unsymmetrized second moments <O_m O_n>.
-
-    This is the object that enters product formulas: the real part of a
-    Kronecker product of complex CMs differs from the Kronecker product of
-    the symmetrized CMs whenever same-node observables fail to commute.
-    """
-    rho = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    mats = [o.matrix if isinstance(o, Observable) else np.asarray(o) for o in observables]
-    stack = np.stack(mats)
-    means = np.einsum("mij,ji->m", stack, rho).real
-    second = np.einsum("mik,nkj,ji->mn", stack, stack, rho)
-    return second - np.outer(means, means)
 
 
 def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],
@@ -190,9 +165,7 @@ def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],
     with_cm = np.ones((1, 1), dtype=complex)
     rank_one = np.ones((1, 1), dtype=complex)
     for obs, marginal in factors:
-        marginal = marginal.matrix if isinstance(marginal, DensityOperator) else np.asarray(marginal)
-        a = mean_vector(obs, marginal)
-        gamma = cm_of_complex(obs, marginal)
+        a, gamma = moments(obs, marginal)
         outer = np.outer(a, a)
         with_cm = np.kron(with_cm, outer + gamma)
         rank_one = np.kron(rank_one, outer)

@@ -22,25 +22,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .covariance import BlockCovarianceMatrix, cm_of, cm_of_complex, covariance_matrix, mean_vector
+from .covariance import BlockCovarianceMatrix, _cross_block, covariance_matrix, moments
 from .linalg import SubsystemLayout, eigvals_hermitian, trace_norm
-from .observables import ObservableSet, OrthogonalBasis, full_product_set, reduced_observable
-from .observables import Observable
-from .states import DensityOperator
-from .topology import (  # re-exported: topology handling is part of the criteria surface
-    NetworkTopology,
-    SourceMask,
-    block_pattern,
-    is_ncds,
-    line_topology,
-    triangle_topology,
-)
+from .observables import Observable, ObservableSet, full_product_set, reduced_observable
+from .states import DensityOperator, triangle_layout
+from .topology import NetworkTopology, triangle_topology
 
 __all__ = [
-    "NetworkTopology", "SourceMask", "block_pattern", "is_ncds",
-    "triangle_topology", "line_topology",
-    "CriterionReport", "BtnDecomposition",
-    "psd_margin", "is_psd_scaled",
+    "CriterionReport", "BtnDecomposition", "psd_margin",
     "btn_decompose", "btn_cm_residual", "xi_matrix", "xi_report",
     "trace_norm_criterion", "visibility_threshold", "ghz_fidelity_bound",
 ]
@@ -53,11 +42,6 @@ def psd_margin(matrix) -> tuple[float, float]:
     vals = eigvals_hermitian(matrix)
     scale = float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
     return float(vals[0]) if vals.size else 0.0, PSD_BASE_TOL * (1.0 + scale)
-
-
-def is_psd_scaled(matrix) -> bool:
-    low, tol = psd_margin(matrix)
-    return low >= -tol
 
 
 @dataclass(frozen=True)
@@ -139,19 +123,6 @@ def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology
 _TRIANGLE_WIRING = ((0, 1), (1, 2), (2, 0))  # node-index pairs (X, Y) with span (X2, Y1)
 
 
-def _triangle_structure(layout: SubsystemLayout):
-    nodes = layout.node_order
-    if len(nodes) != 3:
-        raise ValueError(f"triangle criteria need exactly three nodes, layout has {len(nodes)}")
-    factors = {}
-    for x in nodes:
-        f = layout.factors_of(x)
-        if len(f) != 2:
-            raise ValueError(f"node {x!r} must consist of two factors, has {f}")
-        factors[x] = f
-    return nodes, factors
-
-
 def _factor_stacks(obs: ObservableSet, layout: SubsystemLayout):
     if obs.factor_bases is None:
         raise ValueError("a full product observable set (with per-factor bases) is required")
@@ -164,6 +135,48 @@ def _factor_stacks(obs: ObservableSet, layout: SubsystemLayout):
             raise ValueError(f"basis for factor {l!r} has dimension {b.dim}, "
                              f"layout says {layout.dims[layout.index(l)]}")
     return {l: np.stack(list(obs.factor_bases[l])) for l in layout.labels}
+
+
+def _triangle_pass(rho: DensityOperator, obs: ObservableSet | None):
+    """The data the triangle criteria share, each piece computed once.
+
+    Checks that the layout has three nodes of two factors each.  Returns the
+    node order, each node's two factors, the CM of the full product set
+    ``obs`` (built from the layout when None), its per-factor stacks, and the
+    means and complex CM of every single-factor marginal.
+    """
+    nodes = rho.layout.node_order
+    if len(nodes) != 3:
+        raise ValueError(f"triangle criteria need exactly three nodes, layout has {len(nodes)}")
+    factors = {x: rho.layout.factors_of(x) for x in nodes}
+    for x, f in factors.items():
+        if len(f) != 2:
+            raise ValueError(f"node {x!r} must consist of two factors, has {f}")
+    if obs is None:
+        obs = full_product_set(rho.layout)
+    stacks = _factor_stacks(obs, rho.layout)
+    gamma = covariance_matrix(obs, rho)
+    if gamma.node_labels != nodes:
+        raise ValueError("observable node order must match the layout")
+    means, cms = {}, {}
+    for l in rho.layout.labels:
+        means[l], cms[l] = moments(stacks[l], rho.marginal([l]))
+    return nodes, factors, gamma, stacks, means, cms
+
+
+def _kron_remainder(factors: Mapping[str, tuple[str, str]],
+                    cms: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Block-diagonal remainder R; node block x is Re kron(Gamma_x1, Gamma_x2).
+
+    The real part is taken after the product: the complex factor CMs carry
+    the non-commuting same-node moments the symmetrized CM drops.
+    """
+    blocks = [np.kron(cms[f1], cms[f2]).real for f1, f2 in factors.values()]
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    r = np.zeros((offsets[-1], offsets[-1]))
+    for b, lo, hi in zip(blocks, offsets, offsets[1:]):
+        r[lo:hi, lo:hi] = b
+    return r
 
 
 @dataclass(frozen=True)
@@ -204,8 +217,6 @@ def btn_decompose(sources: Sequence[DensityOperator], obs: ObservableSet) -> Btn
         if len(src.layout.dims) != 2 or src.layout.dims[0] != src.layout.dims[1]:
             raise ValueError(f"source {name} must be bipartite d x d, has dims {src.layout.dims}")
     da, db, dc = (s.layout.dims[0] for s in (rho_a, rho_b, rho_c))
-    from .states import triangle_layout
-
     layout = triangle_layout({"a": da, "b": db, "c": dc})
     nodes = layout.node_order  # (A, B, C)
     stacks = _factor_stacks(obs, layout)
@@ -261,20 +272,12 @@ def btn_decompose(sources: Sequence[DensityOperator], obs: ObservableSet) -> Btn
         out[span[y], span[x]] = cm.block(y, x)
         return out
 
-    r = np.zeros((n, n))
-    for x in nodes:
-        f1, f2 = layout.factors_of(x)
-        # real part taken after the product: the complex factor CMs carry
-        # the non-commuting same-node moments the symmetrized CM drops
-        r_x = np.kron(cm_of_complex(stacks[f1], marg[f1]),
-                      cm_of_complex(stacks[f2], marg[f2])).real
-        r[span[x], span[x]] = r_x
-
     return BtnDecomposition(
         t_c=pad(cm_c, a_node, b_node),
         t_b=pad(cm_b, a_node, c_node),
         t_a=pad(cm_a, b_node, c_node),
-        r=r,
+        r=_kron_remainder({x: layout.factors_of(x) for x in nodes},
+                          {l: moments(stacks[l], marg[l])[1] for l in layout.labels}),
         block_sizes=sizes,
         node_labels=nodes,
     )
@@ -291,19 +294,7 @@ def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> t
 
     Returns the residual matrix and its max-abs entry.
     """
-    nodes, factors = _triangle_structure(rho.layout)
-    if obs is None:
-        obs = full_product_set(rho.layout)
-    stacks = _factor_stacks(obs, rho.layout)
-    gamma = covariance_matrix(obs, rho)
-    if gamma.node_labels != nodes:
-        raise ValueError("observable node order must match the layout")
-
-    marg = {l: rho.marginal([l]).matrix for l in rho.layout.labels}
-    bloch = {l: mean_vector(stacks[l], marg[l]) for l in rho.layout.labels}
-    factor_cm = {l: cm_of(stacks[l], marg[l]) for l in rho.layout.labels}
-    factor_cm_c = {l: cm_of_complex(stacks[l], marg[l]) for l in rho.layout.labels}
-
+    nodes, factors, gamma, stacks, bloch, cms = _triangle_pass(rho, obs)
     sizes = gamma.block_sizes
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
@@ -316,64 +307,38 @@ def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> t
         pair = rho.marginal([fx, fy])
         # marginal keeps layout order; transpose if the pair came out (Y1, X2)
         if pair.layout.labels == (fx, fy):
-            cross = _pair_cross_cm(stacks[fx], stacks[fy], pair.matrix, bloch[fx], bloch[fy])
+            cross = _cross_block(stacks[fx], stacks[fy], pair.matrix, bloch[fx], bloch[fy])
         else:
-            cross = _pair_cross_cm(stacks[fy], stacks[fx], pair.matrix, bloch[fy], bloch[fx]).T
+            cross = _cross_block(stacks[fy], stacks[fx], pair.matrix, bloch[fy], bloch[fx]).T
         ax1 = bloch[factors[x][0]]
         by2 = bloch[factors[y][1]]
-        rhs[span[x], span[x]] += np.kron(np.outer(ax1, ax1), factor_cm[fx])
-        rhs[span[y], span[y]] += np.kron(factor_cm[fy], np.outer(by2, by2))
-        blk = np.einsum("a,bg,d->abgd", ax1, cross, by2).reshape(
-            sizes[xi], sizes[yi]
-        )
-        if xi < yi:
-            rhs[span[x], span[y]] = blk
-            rhs[span[y], span[x]] = blk.T
-        else:
-            rhs[span[y], span[x]] = blk.T
-            rhs[span[x], span[y]] = blk
+        # the real parts of the complex factor CMs are the symmetrized ones
+        rhs[span[x], span[x]] += np.kron(np.outer(ax1, ax1), cms[fx].real)
+        rhs[span[y], span[y]] += np.kron(cms[fy].real, np.outer(by2, by2))
+        blk = np.einsum("a,bg,d->abgd", ax1, cross, by2).reshape(sizes[xi], sizes[yi])
+        rhs[span[x], span[y]] = blk
+        rhs[span[y], span[x]] = blk.T
 
-    for x in nodes:
-        f1, f2 = factors[x]
-        rhs[span[x], span[x]] += np.kron(factor_cm_c[f1], factor_cm_c[f2]).real
-
+    rhs += _kron_remainder(factors, cms)
     residual = gamma.matrix - rhs
     return residual, float(np.abs(residual).max())
 
 
-def _pair_cross_cm(stack_x, stack_y, rho_xy, mean_x, mean_y) -> np.ndarray:
-    dx, dy = stack_x.shape[1], stack_y.shape[1]
-    rho4 = rho_xy.reshape(dx, dy, dx, dy)
-    t = np.einsum("njl,klij->nki", stack_y, rho4)
-    return np.einsum("mik,nki->mn", stack_x, t).real - np.outer(mean_x, mean_y)
-
-
-def xi_matrix(rho: DensityOperator,
-              bases: Mapping[str, OrthogonalBasis] | None = None) -> np.ndarray:
+def xi_matrix(rho: DensityOperator, obs: ObservableSet | None = None) -> np.ndarray:
     """Full-basis CM minus the block-diagonal Kronecker of single-factor CMs.
 
-    Every node of the layout must be split into exactly two factors.  The
+    Every node of the layout must be split into exactly two factors, and
+    ``obs`` must be a full product set (by default the layout's own).  The
     result is PSD for every state assembled from three bipartite sources;
     a negative eigenvalue certifies incompatibility.
     """
-    nodes, factors = _triangle_structure(rho.layout)
-    obs = full_product_set(rho.layout, bases)
-    gamma = covariance_matrix(obs, rho)
-    stacks = _factor_stacks(obs, rho.layout)
-    xi = gamma.matrix.copy()
-    offsets = np.concatenate([[0], np.cumsum(gamma.block_sizes)])
-    for i, x in enumerate(nodes):
-        f1, f2 = factors[x]
-        blk = np.kron(cm_of_complex(stacks[f1], rho.marginal([f1]).matrix),
-                      cm_of_complex(stacks[f2], rho.marginal([f2]).matrix)).real
-        xi[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] -= blk
-    return xi
+    _, factors, gamma, _, _, cms = _triangle_pass(rho, obs)
+    return gamma.matrix - _kron_remainder(factors, cms)
 
 
-def xi_report(rho: DensityOperator,
-              bases: Mapping[str, OrthogonalBasis] | None = None) -> CriterionReport:
+def xi_report(rho: DensityOperator, obs: ObservableSet | None = None) -> CriterionReport:
     """PSD verdict on the xi matrix; lhs is its minimal eigenvalue."""
-    xi = xi_matrix(rho, bases)
+    xi = xi_matrix(rho, obs)
     low, tol = psd_margin(xi)
     return CriterionReport.from_values("xi-psd", low, 0.0, tol, {"min_eigenvalue": low})
 
@@ -402,7 +367,7 @@ def criterion_margin(rho: DensityOperator, obs: ObservableSet | None, criterion:
         topo = topology or triangle_topology(rho.layout.node_order)
         return trace_norm_criterion(covariance_matrix(obs, rho), topo).margin
     if criterion == "xi-psd":
-        rep = xi_report(rho)
+        rep = xi_report(rho, obs)
         return rep.margin + rep.tolerance
     if criterion == "btn-residual":
         rep = btn_residual_report(rho, obs)

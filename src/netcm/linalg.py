@@ -34,7 +34,9 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got shape {m.shape}")
     dev = hermitian_deviation(m)
-    if dev > tol:
+    if not dev <= tol:  # a NaN or infinite entry makes dev NaN or infinite
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite (NaN or infinite) entries")
         raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} > {tol:.1e}")
     return 0.5 * (m + m.conj().T)
 
@@ -221,7 +223,8 @@ def psd_project(m) -> np.ndarray:
 
     Real input stays real and complex input stays complex.  A stack of
     shape ``(..., n, n)`` is projected matrix by matrix with one batched
-    ``eigh``; every matrix must be Hermitian within ``HERMITICITY_TOL``.
+    ``eigh``; every matrix must be Hermitian within ``HERMITICITY_TOL``
+    times the largest entry (at least 1), since rounding grows with the entries.
     """
     m = np.asarray(m)
     if not np.iscomplexobj(m):
@@ -230,8 +233,10 @@ def psd_project(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     mh = np.swapaxes(m, -1, -2).conj()
     dev = float(np.abs(m - mh).max()) if m.size else 0.0
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} > {HERMITICITY_TOL:.1e}")
+    if dev > HERMITICITY_TOL:  # the scaled tolerance is never smaller, so only then compute it
+        tol = HERMITICITY_TOL * max(1.0, float(np.abs(m).max()))
+        if dev > tol:
+            raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} > {tol:.1e}")
     vals, vecs = np.linalg.eigh(0.5 * (m + mh))
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()

@@ -52,10 +52,6 @@ class NetworkTopology:
         return tuple(k for k, s in enumerate(self.sources) if node in s)
 
 
-def is_ncds(topology: NetworkTopology) -> bool:
-    return topology.is_ncds()
-
-
 def triangle_topology(labels: Sequence[str] = ("A", "B", "C")) -> NetworkTopology:
     """Triangle: three bipartite sources a = {B,C}, b = {C,A}, c = {A,B}."""
     a, b, c = labels

@@ -118,6 +118,11 @@ class TestScan:
         assert code == 0
         assert len(out.read_text().splitlines()) == 12  # header + 11 grid points
 
+    def test_threads_env_not_integer(self, monkeypatch):
+        monkeypatch.setenv("NETCM_THREADS", "two")
+        assert run(["scan", "--state", "ghz", "--observables", "pauli-z",
+                    "--grid", "0:1:0.5"]) == 64
+
     def test_bad_grid(self, capsys):
         assert run(["scan", "--state", "w", "--observables", "w-set",
                     "--grid", "nope"]) == 64
@@ -135,6 +140,10 @@ class TestDecompose:
 
         t_c = read_matrix(tmp_path / "t_c.ncmx")
         assert t_c.shape == (48, 48)
+
+    def test_btn_without_sources_is_64(self, tmp_path):
+        assert run(["decompose", "--state-json", '{"family": "btn", "params": {}}',
+                    "--output-dir", str(tmp_path)]) == 64
 
 
 class TestFeasibility:

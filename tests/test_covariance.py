@@ -3,12 +3,9 @@ import pytest
 
 from netcm.covariance import (
     BlockCovarianceMatrix,
-    block,
-    cm_of,
-    cm_of_complex,
     covariance_matrix,
     load_cm,
-    mean_vector,
+    moments,
     product_state_cm,
     recombine_cm,
     save_cm,
@@ -95,7 +92,7 @@ class TestCovarianceMatrix:
         for x in "ABC":
             marg = rho.node_marginal(x)
             mats = [o.matrix for o in obs.node_observables(x)]
-            assert np.abs(g.block(x, x) - cm_of(mats, marg)).max() <= 1e-12
+            assert np.abs(g.block(x, x) - moments(mats, marg)[1].real).max() <= 1e-12
 
     def test_output_is_psd(self, rng):
         rho = mix_white_noise(w_state(), 0.8)
@@ -148,7 +145,7 @@ class TestBlockAccess:
     def test_ghz_cross_block(self):
         rho = mix_white_noise(ghz_state(3, 2), 0.3)
         g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
-        assert np.abs(block(g, "A", "B") - [[0.3]]).max() <= 1e-12
+        assert np.abs(g.block("A", "B") - [[0.3]]).max() <= 1e-12
 
     def test_transpose_symmetry(self, rng):
         rho = btn_assemble(*[random_source(2, rng) for _ in range(3)])
@@ -166,14 +163,14 @@ class TestBlockAccess:
 class TestMeanVector:
     def test_traceless_on_maximally_mixed(self):
         rho = np.eye(2) / 2
-        assert np.abs(mean_vector([PAULI_X, PAULI_Z], rho)).max() == 0.0
+        assert np.abs(moments([PAULI_X, PAULI_Z], rho)[0]).max() == 0.0
 
     def test_identity_entry(self):
-        assert mean_vector([np.eye(2)], np.eye(2) / 2) == pytest.approx([1.0])
+        assert moments([np.eye(2)], np.eye(2) / 2)[0] == pytest.approx([1.0])
 
     def test_ground_state_bloch(self):
         rho = np.diag([1.0, 0.0])
-        assert np.allclose(mean_vector(list(pauli_basis()), rho), [1.0, 0.0, 0.0, 1.0])
+        assert np.allclose(moments(list(pauli_basis()), rho)[0], [1.0, 0.0, 0.0, 1.0])
 
 
 class TestProductStateCm:
@@ -183,8 +180,7 @@ class TestProductStateCm:
         obs1 = list(pauli_basis())
         obs2 = list(pauli_basis())
         got = product_state_cm([(obs1, r1), (obs2, r2)])
-        a, b = mean_vector(obs1, r1), mean_vector(obs2, r2)
-        g1, g2 = cm_of_complex(obs1, r1), cm_of_complex(obs2, r2)
+        (a, g1), (b, g2) = moments(obs1, r1), moments(obs2, r2)
         want = (np.kron(np.outer(a, a), g2) + np.kron(g1, np.outer(b, b))
                 + np.kron(g1, g2)).real
         assert np.abs(got.matrix - want).max() <= 1e-10
@@ -213,7 +209,7 @@ class TestProductStateCm:
         obs = [PAULI_X, PAULI_Z]
         r = np.eye(2) / 2
         got = product_state_cm([(obs, r), (obs, r)])
-        g = cm_of_complex(obs, r)
+        _, g = moments(obs, r)
         assert np.abs(got.matrix - np.kron(g, g).real).max() <= 1e-12
 
 

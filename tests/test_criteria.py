@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, mean_vector
+from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, moments
 from netcm.criteria import (
     btn_cm_residual,
     btn_decompose,
@@ -36,21 +36,21 @@ from netcm.states import (
     w_state,
 )
 from netcm.linalg import SubsystemLayout
-from netcm.topology import NetworkTopology, block_pattern, is_ncds, line_topology, triangle_topology
+from netcm.topology import NetworkTopology, block_pattern, line_topology, triangle_topology
 
 
 class TestTopology:
     def test_triangle_is_ncds(self):
-        assert is_ncds(triangle_topology())
+        assert triangle_topology().is_ncds()
 
     def test_five_node_example_is_ncds(self):
         topo = NetworkTopology(("1", "2", "3", "4", "5"),
                                (("1", "2", "3"), ("3", "4", "5"), ("1", "5")))
-        assert is_ncds(topo)
+        assert topo.is_ncds()
 
     def test_shared_pair_is_not(self):
         topo = NetworkTopology(("1", "2", "3"), (("1", "2"), ("1", "2")))
-        assert not is_ncds(topo)
+        assert not topo.is_ncds()
 
     def test_global_source_rejected(self):
         with pytest.raises(ValueError, match="at most N-1"):
@@ -58,7 +58,7 @@ class TestTopology:
 
     def test_two_node_bipartite_allowed(self):
         topo = NetworkTopology(("1", "2"), (("1", "2"),))
-        assert is_ncds(topo)
+        assert topo.is_ncds()
 
 
 class TestBlockPattern:
@@ -357,8 +357,8 @@ class TestGhzStatisticsMargin:
         rho = convex_mix([ghz, rest], [f, 1 - f])
         g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
         rep = trace_norm_criterion(g, triangle_topology())
-        z = np.array([mean_vector([np.array([[1, 0], [0, -1]], dtype=complex)],
-                                  rest.node_marginal(x))[0] for x in "ABC"])
+        z = np.array([moments([np.array([[1, 0], [0, -1]], dtype=complex)],
+                              rest.node_marginal(x))[0][0] for x in "ABC"])
         w_corr = np.array([
             covariance_matrix(named_observable_set("pauli-z", rest.layout), rest).block(x, y)[0, 0]
             + z["ABC".index(x)] * z["ABC".index(y)]

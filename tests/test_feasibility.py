@@ -68,6 +68,18 @@ class TestSolve:
         assert out.residual <= 1e-7
         assert verify_witness(prob, out.witness, 1e-7)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e7])
+    def test_scaled_btn_cm_feasible(self, rng, scale):
+        # rounding in the PSD projection grows with the entries; its
+        # Hermiticity tolerance must grow with them too
+        prob, _, _ = btn_problem(rng)
+        g = prob.gamma
+        scaled = FeasibilityProblem(
+            BlockCovarianceMatrix(scale * g.matrix, g.block_sizes, g.node_labels), prob.topology)
+        out = solve(scaled, tol=1e-7 * scale)
+        assert out.status == "feasible"
+        assert verify_witness(scaled, out.witness, 1e-7 * scale)
+
     def test_ghz_violating_cm_infeasible(self):
         out = solve(ghz_problem(0.6), tol=1e-7, max_iter=3000)
         assert out.status == "infeasible"

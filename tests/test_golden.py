@@ -12,6 +12,7 @@ digits.  After an intended report change, regenerate the corpus with
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -122,8 +123,6 @@ def test_report_matches_golden(name, tmp_path):
 
 
 def _regenerate() -> None:
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for name in sorted(CASES):

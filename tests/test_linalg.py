@@ -252,6 +252,15 @@ class TestSpectral:
         with pytest.raises(ValueError, match="Hermitian"):
             psd_project(stack)
 
+    def test_psd_project_tolerance_scales_with_entries(self, rng):
+        h = hermitian(rng, 4)
+        h /= np.abs(h).max()
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 5e-10  # above the unit-scale tolerance 1e-10
+        with pytest.raises(ValueError, match="Hermitian"):
+            psd_project(np.stack([h, h + skew]))
+        assert psd_project(np.stack([1e7 * h, 1e7 * h + skew])).shape == (2, 4, 4)
+
     def test_psd_project_output_psd(self, rng):
         for _ in range(20):
             h = hermitian(rng, 6)

@@ -68,6 +68,16 @@ class TestOrthogonalBasis:
         assert np.abs(back - rho).max() <= 1e-10
 
 
+class TestObservable:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        m = PAULI_X.copy()
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Observable(m, "A")
+
+
 class TestEmbed:
     def test_sigma_z_on_first(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))

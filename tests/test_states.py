@@ -285,6 +285,12 @@ class TestDensityOperatorValidation:
         with pytest.raises(ValueError, match="positive"):
             DensityOperator(np.diag([1.5, -0.5]), SubsystemLayout((2,), ("A",)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails both the trace and the eigenvalue comparison silently
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]), SubsystemLayout((2,), ("A",)))
+
     def test_constructors_satisfy_invariants(self, rng):
         for rho in (ghz_state(4, 2), w_state(), dicke_state(4), cluster4_state(),
                     bell_pair(3), btn_assemble(*[random_source(2, rng) for _ in range(3)])):

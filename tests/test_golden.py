@@ -20,7 +20,7 @@ import pytest
 from netcm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-REL_TOL = 1e-12
+FLOAT_TOL = 1e-12
 
 _BTN = json.dumps({"family": "btn", "params": {"sources": [
     {"family": "bell", "params": {"dim": 2}, "visibility": 0.7},
@@ -94,7 +94,7 @@ def _same(got, want, where: str) -> None:
         for i, (g, w) in enumerate(zip(got, want)):
             _same(g, w, f"{where}[{i}]")
     elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=0.0, abs_tol=REL_TOL * (1.0 + abs(want))), \
+        assert math.isclose(got, want, rel_tol=0.0, abs_tol=FLOAT_TOL * (1.0 + abs(want))), \
             f"{where}: {got!r} != {want!r}"
     else:
         assert got == want, f"{where}: {got!r} != {want!r}"

@@ -143,12 +143,7 @@ def state_spec_from_args(args) -> dict:
         if text.startswith("@"):
             text = Path(text[1:]).read_text()
         spec = json.loads(text)
-        if args.visibility is not None:
-            spec["visibility"] = args.visibility
-        if args.split:
-            spec["split"] = _parse_split(args.split)
-        return spec
-    if args.state_file:
+    elif args.state_file:
         if not args.dims:
             raise SpecError("--state-file needs --dims")
         spec = {
@@ -201,12 +196,6 @@ def topology_from_spec(spec, node_labels) -> NetworkTopology:
         return NetworkTopology(tuple(spec["nodes"]), tuple(tuple(s) for s in spec["sources"]))
     except (KeyError, TypeError) as exc:
         raise SpecError(f"topology JSON needs 'nodes' and 'sources': {exc}") from None
-
-
-def observables_from_spec(name: str, rho: DensityOperator):
-    if name not in NAMED_SETS:
-        raise SpecError(f"unknown observable set {name!r}; known: {sorted(NAMED_SETS)}")
-    return named_observable_set(name, rho.layout)
 
 
 def topology_to_spec(topology: NetworkTopology) -> dict:
@@ -310,8 +299,7 @@ def report_schema() -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def _build_state_and_obs(args):
-    spec = state_spec_from_args(args)
+def _build_state_and_obs(args, spec: dict):
     rho = state_from_spec(spec)
     if args.criterion == "xi-psd" and not args.split and all(
         len(rho.layout.factors_of(x)) == 1 for x in rho.layout.node_order
@@ -320,17 +308,18 @@ def _build_state_and_obs(args):
     obs_name = args.observables
     obs = None
     if obs_name:
-        obs = observables_from_spec(obs_name, rho)
+        obs = named_observable_set(obs_name, rho.layout)
     elif args.criterion in ("xi-psd", "btn-residual"):
         obs_name = "full-product"
         obs = full_product_set(rho.layout)
     elif args.criterion == "trace-norm":
         raise SpecError("the trace-norm criterion needs --observables")
-    return spec, rho, obs_name, obs
+    return rho, obs_name, obs
 
 
 def cmd_check(args) -> int:
-    spec, rho, obs_name, obs = _build_state_and_obs(args)
+    spec = state_spec_from_args(args)
+    rho, obs_name, obs = _build_state_and_obs(args, spec)
     topo = topology_from_spec(args.topology, rho.layout.node_order)
     if args.criterion == "trace-norm":
         gamma = covariance_matrix(obs, rho)
@@ -363,17 +352,13 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_scan(args) -> int:
-    spec, _, obs_name, _ = _build_state_and_obs(args)
-    base_spec = dict(spec)
+    base_spec = state_spec_from_args(args)
     base_spec.pop("visibility", None)
+    base, obs_name, obs = _build_state_and_obs(args, base_spec)
+    topo = topology_from_spec(args.topology, base.layout.node_order)
 
     def family(v: float) -> DensityOperator:
-        s = dict(base_spec)
-        s["visibility"] = float(v)
-        return state_from_spec(s)
-
-    def build_obs(rho: DensityOperator):
-        return observables_from_spec(obs_name, rho) if obs_name else None
+        return mix_white_noise(base, float(v))
 
     grid = _parse_grid(args.grid)
     # grid points run in turn, so NETCM_THREADS is unused; a malformed
@@ -386,9 +371,7 @@ def cmd_scan(args) -> int:
             raise SpecError(f"NETCM_THREADS must be an integer, got {cap!r}") from None
 
     def evaluate(v: float):
-        rho = family(float(v))
-        topo = topology_from_spec(args.topology, rho.layout.node_order)
-        obs = build_obs(rho)
+        rho = family(v)
         if args.criterion == "trace-norm":
             rep = trace_norm_criterion(covariance_matrix(obs, rho), topo)
             return rep.lhs, rep.rhs, rep.margin, rep.passed
@@ -399,9 +382,7 @@ def cmd_scan(args) -> int:
 
     threshold = None
     if args.refine:
-        topo_for = topology_from_spec(args.topology, family(0.0).layout.node_order)
-        threshold = visibility_threshold(family, build_obs, args.criterion, topo_for,
-                                         tol=args.tolerance)
+        threshold = visibility_threshold(family, obs, args.criterion, topo, tol=args.tolerance)
 
     if args.format == "csv":
         lines = ["visibility,lhs,rhs,margin,pass"]
@@ -432,10 +413,9 @@ def cmd_decompose(args) -> int:
     spec = state_spec_from_args(args)
     if spec.get("family") != "btn":
         raise SpecError("decompose works on the btn family (three declared sources)")
-    sources = _btn_sources(spec.get("params", {}))
-    rho = btn_assemble(*sources)
-    obs = full_product_set(rho.layout)
-    dec = btn_decompose(sources, obs)
+    if spec.get("visibility") is not None or spec.get("split"):
+        raise SpecError("decompose takes no visibility or split; give them per source")
+    dec = btn_decompose(_btn_sources(spec.get("params", {})))
     outdir = Path(args.output_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     names = ["t_c", "t_b", "t_a", "r"]
@@ -452,8 +432,7 @@ def cmd_decompose(args) -> int:
         "min_eigenvalues": min_eigs,
     }
     _emit_json(str(outdir / "decomposition.json"), manifest)
-    if args.output is None:
-        _emit_json(None, manifest)
+    _emit_json(args.output, manifest)
     return EXIT_PASS
 
 
@@ -463,7 +442,8 @@ def cmd_feasibility(args) -> int:
         gamma = load_cm(args.cm_file)
         topo = topology_from_spec(args.topology, gamma.node_labels)
     else:
-        state_spec, rho, obs_name, obs = _build_state_and_obs(args)
+        state_spec = state_spec_from_args(args)
+        rho, obs_name, obs = _build_state_and_obs(args, state_spec)
         if obs is None:
             raise SpecError("feasibility needs --observables (or --cm-file)")
         gamma = covariance_matrix(obs, rho)
@@ -533,7 +513,6 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--topology", help="'triangle', 'line', or JSON (inline or @file)")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--output", help="report path (default: stdout)")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
 
 
 def build_parser() -> _Parser:
@@ -544,19 +523,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="evaluate one criterion on one state")
     _add_state_args(p)
     _add_common_args(p)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("scan", help="criterion margin over a visibility grid")
     _add_state_args(p)
     _add_common_args(p)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--grid", required=True, help="start:stop:step over visibility")
     p.add_argument("--refine", action="store_true", help="bisection-refine the threshold")
     p.set_defaults(func=cmd_scan, tolerance=1e-6)
 
     p = sub.add_parser("decompose", help="source decomposition of a triangle-state CM")
     _add_state_args(p)
-    _add_common_args(p)
-    p.add_argument("--output-dir", help="directory for the NCMX parts")
+    p.add_argument("--output", help="copy of the manifest (default: stdout)")
+    p.add_argument("--output-dir", help="directory for the NCMX parts and the manifest")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("feasibility", help="block-decomposition feasibility of a CM")

@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from . import ncmx
+from .linalg import partial_trace, require_hermitian
 from .states import DensityOperator
 from .observables import Observable, ObservableSet, embed
 
-SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
 
 
@@ -42,12 +42,7 @@ class BlockCovarianceMatrix:
             raise ValueError(f"node labels must be unique: {labels}")
         if m.shape != (sum(sizes), sum(sizes)):
             raise ValueError(f"matrix shape {m.shape} does not match block sizes {sizes}")
-        if not np.isfinite(m).all():
-            raise ValueError("covariance matrix has non-finite (NaN or infinite) entries")
-        dev = float(np.abs(m - m.T).max()) if m.size else 0.0
-        if dev > SYMMETRY_TOL:
-            raise ValueError(f"matrix is not symmetric: max|m - m^T| = {dev:.3e}")
-        m = 0.5 * (m + m.T)
+        m = require_hermitian(m)
         low = float(np.linalg.eigvalsh(m)[0]) if m.size else 0.0
         if low < -PSD_TOL:
             raise ValueError(f"covariance matrix not PSD: min eigenvalue {low:.3e}")
@@ -106,17 +101,19 @@ def _cross_block(stack_x, stack_y, rho_xy, means_x, means_y) -> np.ndarray:
 def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarianceMatrix:
     """Covariance matrix of local observables, with node-indexed block structure."""
     nodes = obs.node_order
-    unknown = set(nodes) - set(rho.layout.node_order)
+    layout = rho.layout
+    unknown = set(nodes) - set(layout.node_order)
     if unknown:
         raise KeyError(f"observables on unknown nodes {sorted(unknown)}; "
-                       f"state has {rho.layout.node_order}")
+                       f"state has {layout.node_order}")
+    factors = {x: layout.factors_of(x) for x in nodes}
     stacks, marginals, means = {}, {}, {}
     for x in nodes:
         group = obs.node_observables(x)
-        dx = rho.layout.node_dim(x)
+        dx = layout.node_dim(x)
         if any(o.matrix.shape[0] != dx or o.factor_support is not None for o in group):
             mats = []
-            node_layout = rho.layout.keep(rho.layout.factors_of(x))
+            node_layout = layout.keep(factors[x])
             for o in group:
                 if o.factor_support is None and o.matrix.shape[0] == dx:
                     mats.append(o.matrix)
@@ -125,7 +122,7 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
             stacks[x] = np.stack(mats)
         else:
             stacks[x] = np.stack([o.matrix for o in group])
-        marginals[x] = rho.node_marginal(x).matrix
+        marginals[x] = partial_trace(rho.matrix, layout, factors[x])
     sizes = [stacks[x].shape[0] for x in nodes]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     full = np.zeros((offsets[-1], offsets[-1]))
@@ -135,12 +132,12 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
     for i, x in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             y = nodes[j]
-            pair = rho.node_marginal(x, y)
+            pair = partial_trace(rho.matrix, layout, factors[x] + factors[y])
             # the marginal keeps the state's factor order, which may put y first
-            if pair.layout.node_order[0] == x:
-                blk = _cross_block(stacks[x], stacks[y], pair.matrix, means[x], means[y])
+            if layout.index(factors[x][0]) < layout.index(factors[y][0]):
+                blk = _cross_block(stacks[x], stacks[y], pair, means[x], means[y])
             else:
-                blk = _cross_block(stacks[y], stacks[x], pair.matrix, means[y], means[x]).T
+                blk = _cross_block(stacks[y], stacks[x], pair, means[y], means[x]).T
             full[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
             full[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
     full = 0.5 * (full + full.T)

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .covariance import BlockCovarianceMatrix, _cross_block, covariance_matrix, moments
-from .linalg import SubsystemLayout, eigvals_hermitian, trace_norm
+from .linalg import SubsystemLayout, eigvals_hermitian, partial_trace, trace_norm
 from .observables import Observable, ObservableSet, full_product_set, reduced_observable
 from .states import DensityOperator, triangle_layout
 from .topology import NetworkTopology, triangle_topology
@@ -160,7 +160,7 @@ def _triangle_pass(rho: DensityOperator, obs: ObservableSet | None):
         raise ValueError("observable node order must match the layout")
     means, cms = {}, {}
     for l in rho.layout.labels:
-        means[l], cms[l] = moments(stacks[l], rho.marginal([l]))
+        means[l], cms[l] = moments(stacks[l], partial_trace(rho.matrix, rho.layout, [l]))
     return nodes, factors, gamma, stacks, means, cms
 
 
@@ -203,12 +203,14 @@ class BtnDecomposition:
         return self.t_c + self.t_b + self.t_a + self.r
 
 
-def btn_decompose(sources: Sequence[DensityOperator], obs: ObservableSet) -> BtnDecomposition:
+def btn_decompose(sources: Sequence[DensityOperator],
+                  obs: ObservableSet | None = None) -> BtnDecomposition:
     """Source decomposition of the CM of a triangle state, via reduced observables.
 
     ``sources`` are the three bipartite source states (a, b, c) placed on
-    (B2, C1), (C2, A1) and (A2, B1); ``obs`` is the full product observable
-    set of the assembled layout.  Each cross-node summand is the genuine CM
+    (B2, C1), (C2, A1) and (A2, B1); ``obs`` is a full product observable
+    set of the assembled layout (by default the layout's own, built without
+    assembling the state).  Each cross-node summand is the genuine CM
     of state-dependent reduced observables evaluated on its source state;
     the remainder is the Kronecker product of single-factor marginal CMs.
     """
@@ -219,18 +221,17 @@ def btn_decompose(sources: Sequence[DensityOperator], obs: ObservableSet) -> Btn
     da, db, dc = (s.layout.dims[0] for s in (rho_a, rho_b, rho_c))
     layout = triangle_layout({"a": da, "b": db, "c": dc})
     nodes = layout.node_order  # (A, B, C)
+    if obs is None:
+        obs = full_product_set(layout)
     stacks = _factor_stacks(obs, layout)
     if obs.node_order != nodes:
         raise ValueError(f"observable nodes {obs.node_order} must be {nodes}")
 
     # single-factor marginals; source states are (first factor, second factor)
     marg = {
-        "B2": rho_a.marginal([rho_a.layout.labels[0]]).matrix,
-        "C1": rho_a.marginal([rho_a.layout.labels[1]]).matrix,
-        "C2": rho_b.marginal([rho_b.layout.labels[0]]).matrix,
-        "A1": rho_b.marginal([rho_b.layout.labels[1]]).matrix,
-        "A2": rho_c.marginal([rho_c.layout.labels[0]]).matrix,
-        "B1": rho_c.marginal([rho_c.layout.labels[1]]).matrix,
+        label: partial_trace(src.matrix, src.layout, [src.layout.labels[i]])
+        for src, labels in ((rho_a, ("B2", "C1")), (rho_b, ("C2", "A1")), (rho_c, ("A2", "B1")))
+        for i, label in enumerate(labels)
     }
 
     node_mats = {x: [o.matrix for o in obs.node_observables(x)] for x in nodes}
@@ -304,12 +305,12 @@ def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> t
     for xi, yi in _TRIANGLE_WIRING:
         x, y = nodes[xi], nodes[yi]
         fx, fy = factors[x][1], factors[y][0]  # source spans (X2, Y1)
-        pair = rho.marginal([fx, fy])
-        # marginal keeps layout order; transpose if the pair came out (Y1, X2)
-        if pair.layout.labels == (fx, fy):
-            cross = _cross_block(stacks[fx], stacks[fy], pair.matrix, bloch[fx], bloch[fy])
+        pair = partial_trace(rho.matrix, rho.layout, [fx, fy])
+        # the marginal keeps layout order; transpose if the pair came out (Y1, X2)
+        if rho.layout.index(fx) < rho.layout.index(fy):
+            cross = _cross_block(stacks[fx], stacks[fy], pair, bloch[fx], bloch[fy])
         else:
-            cross = _cross_block(stacks[fy], stacks[fx], pair.matrix, bloch[fy], bloch[fx]).T
+            cross = _cross_block(stacks[fy], stacks[fx], pair, bloch[fy], bloch[fx]).T
         ax1 = bloch[factors[x][0]]
         by2 = bloch[factors[y][1]]
         # the real parts of the complex factor CMs are the symmetrized ones

@@ -1,8 +1,10 @@
 """Dense complex matrix kernel: tensor operations, spectral routines, PSD machinery.
 
 Everything operates on plain complex numpy arrays.  Matrices fed to the
-spectral routines are required to be Hermitian within ``HERMITICITY_TOL``
-and are symmetrized before factorization so results are deterministic.
+spectral routines must be finite and Hermitian within
+``HERMITICITY_TOL * max(1, max|m|)``: the tolerance scales with the input,
+since rounding grows with the entries.  They are symmetrized before
+factorization so results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,23 +24,26 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def hermitian_deviation(m) -> float:
-    """Max-abs deviation of ``m`` from its conjugate transpose."""
-    m = _as_matrix(m)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+def require_hermitian(m) -> np.ndarray:
+    """Validate a Hermitian matrix, or a stack ``(..., n, n)`` of them; return it symmetrized.
 
-
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"Hermitian matrix must be square, got shape {m.shape}")
-    dev = hermitian_deviation(m)
-    if not dev <= tol:  # a NaN or infinite entry makes dev NaN or infinite
-        if not np.isfinite(m).all():
+    The input's dtype is kept.  Every entry must be finite, and the matrix
+    Hermitian within ``HERMITICITY_TOL * max(1, max|m|)``.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    mh = np.swapaxes(m, -1, -2).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+        dev = float(np.abs(m - mh).max()) if m.size else 0.0
+    if not dev <= HERMITICITY_TOL:  # the scaled tolerance is never smaller, so only then compute it
+        if not np.isfinite(dev):  # any NaN or infinite entry makes dev NaN or infinite
             raise ValueError("matrix has non-finite (NaN or infinite) entries")
-        raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} > {tol:.1e}")
-    return 0.5 * (m + m.conj().T)
+        tol = HERMITICITY_TOL * max(1.0, float(np.abs(m).max()))
+        if dev > tol:
+            raise ValueError(f"matrix is not Hermitian (symmetric): "
+                             f"max|m - m^dag| = {dev:.3e} > {tol:.1e}")
+    return 0.5 * (m + mh)
 
 
 def kron(a, b) -> np.ndarray:
@@ -199,9 +204,9 @@ def permute_subsystems(rho, layout: SubsystemLayout, new_order: Sequence[str]) -
     return tensor.reshape(layout.dim, layout.dim)
 
 
-def eigvals_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def eigvals_hermitian(m) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending."""
-    return np.linalg.eigvalsh(require_hermitian(m, tol))
+    return np.linalg.eigvalsh(require_hermitian(_as_matrix(m)))
 
 
 def trace_norm(m) -> float:
@@ -223,20 +228,11 @@ def psd_project(m) -> np.ndarray:
 
     Real input stays real and complex input stays complex.  A stack of
     shape ``(..., n, n)`` is projected matrix by matrix with one batched
-    ``eigh``; every matrix must be Hermitian within ``HERMITICITY_TOL``
-    times the largest entry (at least 1), since rounding grows with the entries.
+    ``eigh``; every matrix must pass :func:`require_hermitian`.
     """
     m = np.asarray(m)
     if not np.iscomplexobj(m):
         m = m.astype(float, copy=False)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    mh = np.swapaxes(m, -1, -2).conj()
-    dev = float(np.abs(m - mh).max()) if m.size else 0.0
-    if dev > HERMITICITY_TOL:  # the scaled tolerance is never smaller, so only then compute it
-        tol = HERMITICITY_TOL * max(1.0, float(np.abs(m).max()))
-        if dev > tol:
-            raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} > {tol:.1e}")
-    vals, vecs = np.linalg.eigh(0.5 * (m + mh))
+    vals, vecs = np.linalg.eigh(require_hermitian(m))
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()

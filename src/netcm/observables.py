@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, SubsystemLayout, kron, require_hermitian
+from .linalg import HERMITICITY_TOL, SubsystemLayout, _as_matrix, kron, require_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -25,12 +26,13 @@ class OrthogonalBasis:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        elems = tuple(np.asarray(g, dtype=complex) for g in self.elements)
+        elems = tuple(_as_matrix(g).copy() for g in self.elements)
         d = elems[0].shape[0]
         if len(elems) != d * d:
             raise ValueError(f"need d^2 = {d * d} elements, got {len(elems)}")
         for g in elems:
             require_hermitian(g)
+            g.flags.writeable = False  # bases are shared (see orthogonal_basis)
         if np.abs(elems[0] - np.eye(d)).max() > HERMITICITY_TOL:
             raise ValueError("first basis element must be the identity")
         gram = np.array([[np.trace(a @ b).real for b in elems] for a in elems])
@@ -62,12 +64,14 @@ def pauli_basis() -> OrthogonalBasis:
     return OrthogonalBasis((np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z))
 
 
+@functools.lru_cache(maxsize=None)
 def orthogonal_basis(d: int) -> OrthogonalBasis:
     """Identity plus generalized Gell-Mann matrices rescaled to tr(G G') = d delta.
 
     Ordering: identity, then for each index pair j < k (lexicographic) the
     symmetric and antisymmetric elements, then the diagonal family.  For
-    d = 2 this reproduces the Pauli basis.
+    d = 2 this reproduces the Pauli basis.  Cached: every call with the same
+    ``d`` returns the same (read-only) basis.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -98,7 +102,7 @@ class Observable:
     factor_support: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", require_hermitian(self.matrix))
+        object.__setattr__(self, "matrix", require_hermitian(_as_matrix(self.matrix)))
         if self.factor_support is not None:
             object.__setattr__(self, "factor_support", tuple(self.factor_support))
 
@@ -187,12 +191,10 @@ def product_observable_set(bases: Sequence[OrthogonalBasis], node: str,
     return ObservableSet(tuple(obs), factor_bases=meta)
 
 
-def full_product_set(layout: SubsystemLayout,
-                     bases: Mapping[str, OrthogonalBasis] | None = None) -> ObservableSet:
+def full_product_set(layout: SubsystemLayout) -> ObservableSet:
     """Complete product observable set for every node of a layout.
 
-    ``bases`` optionally overrides the per-factor basis (defaults to
-    :func:`orthogonal_basis` of the factor dimension).
+    Each factor gets the :func:`orthogonal_basis` of its dimension.
     """
     all_obs: list[Observable] = []
     all_bases: dict[str, OrthogonalBasis] = {}
@@ -200,7 +202,7 @@ def full_product_set(layout: SubsystemLayout,
         factors = layout.factors_of(node)
         node_bases = []
         for l in factors:
-            b = bases[l] if bases is not None else orthogonal_basis(layout.dims[layout.index(l)])
+            b = orthogonal_basis(layout.dims[layout.index(l)])
             node_bases.append(b)
             all_bases[l] = b
         all_obs.extend(product_observable_set(node_bases, node).observables)

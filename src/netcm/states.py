@@ -10,6 +10,7 @@ import numpy as np
 
 from .linalg import (
     SubsystemLayout,
+    _as_matrix,
     kron,
     partial_trace,
     permute_subsystems,
@@ -32,7 +33,7 @@ class DensityOperator:
     layout: SubsystemLayout
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
+        m = require_hermitian(_as_matrix(self.matrix))
         if m.shape[0] != self.layout.dim:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match layout dimension {self.layout.dim}"

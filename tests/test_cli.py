@@ -123,6 +123,18 @@ class TestScan:
         assert run(["scan", "--state", "ghz", "--observables", "pauli-z",
                     "--grid", "0:1:0.5"]) == 64
 
+    def test_refine_builds_the_state_once(self, monkeypatch, capsys):
+        import netcm.cli
+
+        calls = []
+        build = netcm.cli.state_from_spec
+        monkeypatch.setattr(netcm.cli, "state_from_spec",
+                            lambda spec: calls.append(spec) or build(spec))
+        assert run(["scan", "--state", "ghz", "--parties", "3", "--observables", "pauli-z",
+                    "--topology", "triangle", "--grid", "0:1:0.1", "--refine"]) == 0
+        assert load_report(capsys)["refined_threshold"] == pytest.approx(0.5, abs=1e-6)
+        assert len(calls) == 1
+
     def test_bad_grid(self, capsys):
         assert run(["scan", "--state", "w", "--observables", "w-set",
                     "--grid", "nope"]) == 64
@@ -144,6 +156,31 @@ class TestDecompose:
     def test_btn_without_sources_is_64(self, tmp_path):
         assert run(["decompose", "--state-json", '{"family": "btn", "params": {}}',
                     "--output-dir", str(tmp_path)]) == 64
+
+    def test_output_gets_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["decompose", "--state", "btn", "--dim", "2",
+                    "--output-dir", str(tmp_path / "parts"), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == (tmp_path / "parts" / "decomposition.json").read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--visibility", "0.5"], ["--split", "2x2"]])
+    def test_top_level_visibility_or_split_is_64(self, tmp_path, flag):
+        assert run(["decompose", "--state", "btn", "--dim", "2",
+                    "--output-dir", str(tmp_path)] + flag) == 64
+        assert not (tmp_path / "decomposition.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--state", "btn", "--observables", "full-product"],
+        ["decompose", "--state", "btn", "--criterion", "xi-psd"],
+        ["decompose", "--state", "btn", "--topology", "triangle"],
+        ["decompose", "--state", "btn", "--tolerance", "1e-9"],
+        ["decompose", "--state", "btn", "--format", "json"],
+        ["feasibility", "--state", "w", "--observables", "w-set", "--format", "json"],
+    ])
+    def test_options_never_read_are_gone(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 64
 
 
 class TestFeasibility:

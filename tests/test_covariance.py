@@ -305,6 +305,11 @@ class TestIo:
         with pytest.raises(ValueError, match="PSD"):
             BlockCovarianceMatrix(-np.eye(2), (1, 1), ("A", "B"))
 
+    def test_symmetry_tolerance_scales_with_entries(self):
+        m = np.array([[1e7, 0.0], [5e-10, 1e7]])  # the asymmetry exceeds the unit-scale 1e-10
+        g = BlockCovarianceMatrix(m, (1, 1), ("A", "B"))
+        assert np.array_equal(g.matrix, g.matrix.T)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         m = np.eye(2)

@@ -12,6 +12,7 @@ from netcm.linalg import (
     partial_trace,
     permute_subsystems,
     psd_project,
+    require_hermitian,
     trace_norm,
 )
 from netcm.observables import PAULI_Z
@@ -204,6 +205,18 @@ class TestSpectral:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_require_hermitian_stack_rejects_one_bad_matrix(self, rng):
+        stack = np.stack([hermitian(rng, 3) for _ in range(4)])
+        assert require_hermitian(stack).shape == (4, 3, 3)
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(stack)
+
+    def test_require_hermitian_keeps_dtype(self, rng):
+        real = hermitian(rng, 3).real
+        assert require_hermitian(real).dtype == np.float64
+        assert require_hermitian(real.astype(complex)).dtype == np.complex128
 
     def test_eigh_reconstruction(self, rng):
         h = hermitian(rng, 40)

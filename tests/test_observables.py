@@ -59,6 +59,13 @@ class TestOrthogonalBasis:
         with pytest.raises(ValueError, match="delta"):
             OrthogonalBasis((np.eye(2), PAULI_X, PAULI_X, PAULI_Z))
 
+    def test_cached_and_read_only(self):
+        b = orthogonal_basis(3)
+        assert orthogonal_basis(3) is b
+        assert not any(g.flags.writeable for g in b)
+        with pytest.raises(ValueError):
+            b[1][0, 0] = 1.0
+
     def test_bloch_vector_roundtrip(self, rng):
         b = orthogonal_basis(3)
         rho = random_density(3, rng)
@@ -69,6 +76,13 @@ class TestOrthogonalBasis:
 
 
 class TestObservable:
+    def test_hermiticity_tolerance_scales_with_entries(self):
+        skew = np.zeros((2, 2))
+        skew[0, 1] = 5e-10  # above the unit-scale tolerance 1e-10
+        assert Observable(1e7 * PAULI_Z + skew, "A").matrix.shape == (2, 2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            Observable(PAULI_Z + skew, "A")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_rejects_non_finite(self, bad, where):

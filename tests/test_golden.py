@@ -36,6 +36,8 @@ CASES = {
     "check-ghz5-line": (["check", "--state", "ghz", "--parties", "5", "--visibility", "0.3",
                          "--observables", "pauli-z", "--topology", "line",
                          "--output", "report.json"], "report.json"),
+    "check-ghz8-line": (["check", "--state", "ghz", "--parties", "8", "--observables", "pauli-z",
+                         "--topology", "line", "--output", "report.json"], "report.json"),
     "check-w": (["check", "--state", "w", "--visibility", "0.8", "--observables", "w-set",
                  "--output", "report.json"], "report.json"),
     "check-cluster4": (["check", "--state", "cluster4", "--visibility", "0.9",
@@ -65,6 +67,7 @@ CASES = {
     "feasibility-ghz3-infeasible": (["feasibility", "--state", "ghz", "--visibility", "0.8",
                                      "--observables", "pauli-z", "--topology", "triangle",
                                      "--output", "report.json"], "report.json"),
+    "fidelity-bound": (["fidelity-bound", "--output", "report.json"], "report.json"),
 }
 
 

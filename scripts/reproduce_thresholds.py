@@ -2,10 +2,15 @@
 """Reproduce every analytic threshold at desk scale and print a summary table.
 
 Covers: GHZ/W visibility thresholds from the trace-norm criterion, the
-N-party GHZ threshold family, the four-qubit cluster-state equality case,
-and the GHZ fidelity bound.
+N-party GHZ threshold family for N = 3..10, the four-qubit cluster-state
+equality case, and the GHZ fidelity bound.  Exits 1 if a visibility
+threshold misses its analytic value by more than 1e-5, or the fidelity
+bound misses 3 - sqrt(5) by more than 5e-3.
+
+    PYTHONPATH=src python scripts/reproduce_thresholds.py
 """
 
+import sys
 import time
 
 import numpy as np
@@ -17,31 +22,39 @@ from netcm.states import cluster4_state, ghz_state, mix_white_noise, w_state
 from netcm.topology import line_topology, triangle_topology
 
 
-def row(label, got, expected):
+THRESHOLD_TOL = 1e-5
+BOUND_TOL = 5e-3
+
+
+def row(label, got, expected, tol, misses):
+    ok = abs(got - expected) <= tol
     print(f"  {label:<34} {got:>12.7f}   expected {expected:>12.7f}   "
-          f"diff {abs(got - expected):.2e}")
+          f"diff {abs(got - expected):.2e}{'' if ok else '   MISS'}")
+    if not ok:
+        misses.append(label)
 
 
-def main():
+def main() -> int:
     start = time.perf_counter()
+    misses = []
     print("visibility thresholds (trace-norm criterion)")
     thr = visibility_threshold(
         lambda v: mix_white_noise(ghz_state(3, 2), v),
         lambda rho: named_observable_set("pauli-z", rho.layout),
         "trace-norm", triangle_topology(), tol=1e-6)
-    row("ghz3, pauli-z", thr, 0.5)
+    row("ghz3, pauli-z", thr, 0.5, THRESHOLD_TOL, misses)
     thr = visibility_threshold(
         lambda v: mix_white_noise(w_state(), v),
         lambda rho: named_observable_set("w-set", rho.layout),
         "trace-norm", triangle_topology(), tol=1e-6)
-    row("w, sigma_x/sigma_y set", thr, 0.75)
-    for n in range(3, 7):
-        topo = triangle_topology() if n == 3 else line_topology(tuple("ABCDEF"[:n]))
+    row("w, sigma_x/sigma_y set", thr, 0.75, THRESHOLD_TOL, misses)
+    for n in range(3, 11):
+        topo = triangle_topology() if n == 3 else line_topology(tuple("ABCDEFGHIJ"[:n]))
         thr = visibility_threshold(
             lambda v: mix_white_noise(ghz_state(n, 2), v),
             lambda rho: named_observable_set("pauli-z", rho.layout),
             "trace-norm", topo, tol=1e-6)
-        row(f"ghz{n}, pauli-z", thr, 1.0 / (n - 1))
+        row(f"ghz{n}, pauli-z", thr, 1.0 / (n - 1), THRESHOLD_TOL, misses)
 
     print("\ncluster state (trace-norm equality case)")
     rho = cluster4_state()
@@ -53,10 +66,14 @@ def main():
 
     print("\nghz fidelity bound (trace-norm criterion, worst-case statistics)")
     bound = ghz_fidelity_bound(tol=1e-4)
-    row("bound", bound, 3.0 - np.sqrt(5.0))
+    row("bound", bound, 3.0 - np.sqrt(5.0), BOUND_TOL, misses)
 
     print(f"\ntotal {time.perf_counter() - start:.1f} s")
+    if misses:
+        print(f"missed: {'; '.join(misses)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -515,32 +515,26 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--output", help="report path (default: stdout)")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="netcm",
-                     description="Covariance-matrix criteria for quantum network states")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="evaluate one criterion on one state")
+def _add_check_args(p: argparse.ArgumentParser):
     _add_state_args(p)
     _add_common_args(p)
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan", help="criterion margin over a visibility grid")
-    _add_state_args(p)
-    _add_common_args(p)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+
+def _add_scan_args(p: argparse.ArgumentParser):
+    _add_check_args(p)
     p.add_argument("--grid", required=True, help="start:stop:step over visibility")
     p.add_argument("--refine", action="store_true", help="bisection-refine the threshold")
-    p.set_defaults(func=cmd_scan, tolerance=1e-6)
+    p.set_defaults(tolerance=1e-6)
 
-    p = sub.add_parser("decompose", help="source decomposition of a triangle-state CM")
+
+def _add_decompose_args(p: argparse.ArgumentParser):
     _add_state_args(p)
     p.add_argument("--output", help="copy of the manifest (default: stdout)")
     p.add_argument("--output-dir", help="directory for the NCMX parts and the manifest")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("feasibility", help="block-decomposition feasibility of a CM")
+
+def _add_feasibility_args(p: argparse.ArgumentParser):
     _add_state_args(p)
     _add_common_args(p)
     p.add_argument("--cm-file", help="NCMX covariance matrix (with JSON sidecar)")
@@ -548,23 +542,54 @@ def build_parser() -> _Parser:
     p.add_argument("--witness-dir", help="directory for witness export")
     p.add_argument("--slack", action="store_true",
                    help="allow a PSD block-diagonal slack (diagonal <= instead of =)")
-    p.set_defaults(func=cmd_feasibility, tolerance=1e-7)
+    p.set_defaults(tolerance=1e-7)
 
-    p = sub.add_parser("fidelity-bound", help="GHZ fidelity bound from the trace-norm criterion")
+
+def _add_fidelity_bound_args(p: argparse.ArgumentParser):
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--grid-step", type=float, default=0.02)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_fidelity_bound)
 
-    p = sub.add_parser("schema", help="print the JSON report schema")
+
+def _add_schema_args(p: argparse.ArgumentParser):
     p.add_argument("--output")
-    p.set_defaults(func=cmd_schema)
 
+
+# name -> (help, handler, adds the command's arguments)
+_COMMANDS = {
+    "check": ("evaluate one criterion on one state", cmd_check, _add_check_args),
+    "scan": ("criterion margin over a visibility grid", cmd_scan, _add_scan_args),
+    "decompose": ("source decomposition of a triangle-state CM", cmd_decompose,
+                  _add_decompose_args),
+    "feasibility": ("block-decomposition feasibility of a CM", cmd_feasibility,
+                    _add_feasibility_args),
+    "fidelity-bound": ("GHZ fidelity bound from the trace-norm criterion", cmd_fidelity_bound,
+                       _add_fidelity_bound_args),
+    "schema": ("print the JSON report schema", cmd_schema, _add_schema_args),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The argument parser: every command is listed, but only ``command`` gets its arguments.
+
+    Adding arguments is most of a parser's cost, and one invocation runs
+    one command.
+    """
+    parser = _Parser(prog="netcm",
+                     description="Covariance-matrix criteria for quantum network states")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=handler)
+        if name == command:
+            add_args(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first word names the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

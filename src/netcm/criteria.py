@@ -427,25 +427,36 @@ def ghz_statistics_margin(fidelity: float, means_rest: np.ndarray, correlators_r
     return lhs - rhs
 
 
-def _max_margin_statistics(fidelity: float, grid_step: float = 0.02) -> float:
+def _margin_given_means(fidelity: float, squares, pairs):
+    """Margin for one-body means with sum of squares ``squares`` and pair products ``pairs``.
+
+    The correlators are optimal for those means: the best w in [-1, 1]
+    minimizes |F - u^2 p + u w|.
+    """
+    u = 1.0 - fidelity
+    lhs = 3.0 - (u * u) * squares
+    rhs = 0.0
+    for p in pairs:
+        rhs = rhs + 2.0 * np.maximum(0.0, np.abs(fidelity - u * u * p) - u)
+    return lhs - rhs
+
+
+def _mean_grid(grid_step: float):
+    """The fidelity-independent terms of the mean grid: axis, sum of squares, pair products."""
+    axis = np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
+    a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
+    return axis, a * a + b * b + c * c, (a * b, a * c, b * c)
+
+
+def _max_margin_statistics(fidelity: float, grid_step: float, grid) -> float:
     """Max margin over all box-consistent rest statistics (z, w in [-1, 1]).
 
     For fixed one-body statistics the optimal correlators are explicit, so
-    only the three means are searched: dense grid plus coordinate polish.
+    only the three means are searched: the dense ``grid`` of
+    :func:`_mean_grid` plus coordinate polish.
     """
-    u = 1.0 - fidelity
-    axis = np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
-    z1, z2, z3 = np.meshgrid(axis, axis, axis, indexing="ij")
-
-    def margin_given_means(a, b, c):
-        lhs = 3.0 - (u * u) * (a * a + b * b + c * c)
-        rhs = 0.0
-        for p in (a * b, a * c, b * c):
-            # best w in [-1,1] minimizes |F - u^2 p + u w|
-            rhs = rhs + 2.0 * np.maximum(0.0, np.abs(fidelity - u * u * p) - u)
-        return lhs - rhs
-
-    vals = margin_given_means(z1, z2, z3)
+    axis, squares, pairs = grid
+    vals = _margin_given_means(fidelity, squares, pairs)
     best_flat = int(np.argmax(vals))
     best = float(vals.flat[best_flat])
     idx = np.unravel_index(best_flat, vals.shape)
@@ -458,7 +469,9 @@ def _max_margin_statistics(fidelity: float, grid_step: float = 0.02) -> float:
             for delta in (-step, step):
                 trial = point.copy()
                 trial[k] = float(np.clip(trial[k] + delta, -1.0, 1.0))
-                val = float(margin_given_means(*trial))
+                a, b, c = trial
+                val = float(_margin_given_means(fidelity, a * a + b * b + c * c,
+                                                (a * b, a * c, b * c)))
                 if val > best:
                     best, point, improved = val, trial, True
         if not improved:
@@ -479,12 +492,17 @@ def ghz_fidelity_bound(tol: float = 1e-4, grid_step: float = 0.02) -> float:
     from triangle networks with local channels, and by convexity from LOSR
     triangle networks as well.
     """
+    grid = _mean_grid(grid_step)
+
+    def max_margin(fidelity: float) -> float:
+        return _max_margin_statistics(fidelity, grid_step, grid)
+
     lo, hi = 0.0, 1.0
-    if _max_margin_statistics(lo, grid_step) < 0 or _max_margin_statistics(hi, grid_step) >= 0:
+    if max_margin(lo) < 0 or max_margin(hi) >= 0:
         raise RuntimeError("fidelity bisection bracket failed")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _max_margin_statistics(mid, grid_step) >= 0.0:
+        if max_margin(mid) >= 0.0:
             lo = mid
         else:
             hi = mid

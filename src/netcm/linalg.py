@@ -170,7 +170,10 @@ class SubsystemLayout:
 def partial_trace(rho, layout: SubsystemLayout, keep: Iterable[str]) -> np.ndarray:
     """Reduced operator on the kept factors, factor order preserved.
 
-    Tracing over every factor yields the 1x1 matrix ``[tr(rho)]``.
+    Tracing over every factor yields the 1x1 matrix ``[tr(rho)]``.  Only the
+    entries on the traced factors' diagonals are read: one diagonal view
+    of them, whose traced axes are summed last factor first, as successive
+    single-factor traces would sum them.
     """
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1] or rho.shape[0] != layout.dim:
@@ -180,12 +183,16 @@ def partial_trace(rho, layout: SubsystemLayout, keep: Iterable[str]) -> np.ndarr
     if unknown:
         raise KeyError(f"unknown factor labels {sorted(unknown)}; have {layout.labels}")
     n = len(layout.dims)
-    tensor = rho.reshape(layout.dims + layout.dims)
     kept = [i for i, l in enumerate(layout.labels) if l in keep]
-    remaining = n
-    for i in sorted(set(range(n)) - set(kept), reverse=True):
-        tensor = np.trace(tensor, axis1=i, axis2=i + remaining)
-        remaining -= 1
+    traced = [i for i in range(n) if i not in kept]
+    if not kept and n:  # np.trace of the first factor's marginal: summed as successive traces sum
+        return np.trace(partial_trace(rho, layout, layout.labels[:1])).reshape(1, 1)
+    # einsum axis ids: row index i, column index n + i, shared by the traced factors
+    cols = [i if i in traced else n + i for i in range(n)]
+    tensor = np.einsum(rho.reshape(layout.dims + layout.dims), list(range(n)) + cols,
+                       kept + [n + i for i in kept] + traced)
+    for axis in range(tensor.ndim - 1, 2 * len(kept) - 1, -1):
+        tensor = tensor.sum(axis=axis)
     d = int(np.prod([layout.dims[i] for i in kept])) if kept else 1
     return tensor.reshape(d, d)
 

@@ -47,6 +47,26 @@ class DensityOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, matrix, layout: SubsystemLayout) -> "DensityOperator":
+        """A state whose matrix is Hermitian, PSD and of trace one by construction.
+
+        For matrices built exactly Hermitian from validated states or
+        vectors: only the shape is checked, and the spectral check is
+        skipped.  The matrix is made read-only, as by the validating
+        constructor.
+        """
+        m = _as_matrix(matrix)
+        if m.shape != (layout.dim, layout.dim):
+            raise ValueError(
+                f"matrix shape {m.shape} does not match layout dimension {layout.dim}"
+            )
+        m.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "layout", layout)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.layout.dim
@@ -61,13 +81,13 @@ class DensityOperator:
         return self.marginal(labels)
 
     def permuted(self, new_order: Sequence[str]) -> "DensityOperator":
-        return DensityOperator(
+        return DensityOperator._trusted(
             permute_subsystems(self.matrix, self.layout, new_order), self.layout.reorder(new_order)
         )
 
     def with_layout(self, layout: SubsystemLayout) -> "DensityOperator":
         """Same matrix under a different factorization of equal total dimension."""
-        return DensityOperator(self.matrix, layout)
+        return DensityOperator._trusted(self.matrix, layout)
 
     def expectation(self, op) -> float:
         val = complex(np.trace(np.asarray(op) @ self.matrix))
@@ -85,7 +105,7 @@ class DensityOperator:
         # restore the original factor names so downstream labels stay stable
         labels = list(rho.layout.labels)
         labels[i], labels[j] = labels[j], labels[i]
-        return DensityOperator(rho.matrix, SubsystemLayout(rho.layout.dims, tuple(labels), rho.layout.nodes))
+        return DensityOperator._trusted(rho.matrix, SubsystemLayout(rho.layout.dims, tuple(labels), rho.layout.nodes))
 
 
 @dataclass(frozen=True)
@@ -143,12 +163,21 @@ def _single_node_layout(parties: int, dim: int) -> SubsystemLayout:
 
 
 def pure_state(vector, layout: SubsystemLayout) -> DensityOperator:
-    """Projector onto a (normalized) state vector."""
+    """Projector onto a (normalized) state vector.
+
+    The vector is checked instead of the projector, which is Hermitian,
+    PSD and of trace one by construction.
+    """
     v = np.asarray(vector, dtype=complex).reshape(-1)
     if v.size != layout.dim:
         raise ValueError(f"vector length {v.size} does not match layout dimension {layout.dim}")
-    v = v / np.linalg.norm(v)
-    return DensityOperator(np.outer(v, v.conj()), layout)
+    if not np.isfinite(v).all():
+        raise ValueError("state vector has non-finite (NaN or infinite) entries")
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"state vector norm must be positive and finite, got {norm!r}")
+    v = v / norm
+    return DensityOperator._trusted(np.outer(v, v.conj()), layout)
 
 
 def maximally_mixed(layout: SubsystemLayout) -> DensityOperator:
@@ -230,7 +259,7 @@ def mix_white_noise(rho: DensityOperator, v: float) -> DensityOperator:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
     mixed = v * rho.matrix + (1.0 - v) * np.eye(rho.dim) / rho.dim
-    return DensityOperator(mixed, rho.layout)
+    return DensityOperator._trusted(mixed, rho.layout)
 
 
 def convex_mix(states: Sequence[DensityOperator], weights: Sequence[float]) -> DensityOperator:
@@ -280,7 +309,7 @@ def btn_assemble(rho_a: DensityOperator, rho_b: DensityOperator, rho_c: DensityO
         (db, db, dc, dc, da, da), ("C2", "A1", "A2", "B1", "B2", "C1")
     )
     mat = permute_subsystems(big, transient, ("A1", "A2", "B1", "B2", "C1", "C2"))
-    return DensityOperator(mat, triangle_layout({"a": da, "b": db, "c": dc}))
+    return DensityOperator._trusted(mat, triangle_layout({"a": da, "b": db, "c": dc}))
 
 
 def network_state(topology: NetworkTopology, sources: Sequence[DensityOperator]) -> DensityOperator:
@@ -319,7 +348,7 @@ def network_state(topology: NetworkTopology, sources: Sequence[DensityOperator])
             order_nodes.append(x)
     mat = permute_subsystems(big, transient, order)
     dims = tuple(transient_dims[transient_labels.index(l)] for l in order)
-    return DensityOperator(mat, SubsystemLayout(dims, tuple(order), tuple(order_nodes)))
+    return DensityOperator._trusted(mat, SubsystemLayout(dims, tuple(order), tuple(order_nodes)))
 
 
 def apply_local_unitaries(rho: DensityOperator, unitaries: Mapping[str, np.ndarray]) -> DensityOperator:

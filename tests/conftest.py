@@ -42,6 +42,22 @@ def naive_partial_trace(rho, dims, keep):
     return out
 
 
+def sequential_partial_trace(rho, dims, keep):
+    """Partial trace by one ``np.trace`` per traced factor, last factor first.
+
+    ``keep`` holds factor indices; reads the whole matrix for every traced
+    factor, so it is the bitwise reference for the diagonal-view kernel.
+    """
+    n = len(dims)
+    tensor = np.asarray(rho, dtype=complex).reshape(tuple(dims) * 2)
+    remaining = n
+    for i in sorted(set(range(n)) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=i, axis2=i + remaining)
+        remaining -= 1
+    d = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return tensor.reshape(d, d)
+
+
 def brute_force_cm(obs_set, rho: DensityOperator) -> np.ndarray:
     """Covariance matrix from global embeddings and explicit operator products."""
     mats = [embed(o, rho.layout) for o in obs_set]

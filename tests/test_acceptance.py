@@ -99,6 +99,17 @@ def test_acceptance_3_ghz_n_thresholds():
     announce(3, ok, f"ghz_N thresholds match 1/(N-1): {detail}, {elapsed:.2f} s")
 
 
+def test_acceptance_3_ghz_n_thresholds_to_ten_parties():
+    start = time.perf_counter()
+    results = {n: visibility_threshold(ghz_family(n), pauli_z_builder, "trace-norm",
+                                       line_topology(tuple("ABCDEFGHIJ"[:n])), tol=1e-6)
+               for n in range(7, 11)}
+    elapsed = time.perf_counter() - start
+    ok = all(abs(results[n] - 1.0 / (n - 1)) <= 1e-6 for n in results) and elapsed < 15.0
+    detail = ", ".join(f"N={n}: {results[n]:.7f}" for n in results)
+    announce(3, ok, f"ghz_N thresholds match 1/(N-1): {detail}, {elapsed:.2f} s")
+
+
 def _xi_exclusion_pattern(base):
     verdicts = {}
     for v in (0.0, 0.01, 0.1, 0.5, 1.0):

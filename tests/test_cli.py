@@ -6,7 +6,7 @@ import pytest
 
 from netcm.cli import main, report_schema
 from netcm.ncmx import write_matrix
-from netcm.states import ghz_state, mix_white_noise
+from netcm.states import DensityOperator, ghz_state, mix_white_noise, random_density
 
 
 def run(argv):
@@ -182,6 +182,38 @@ class TestDecompose:
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 64
 
+
+
+class TestValidatedOnce:
+    """Input is validated at the boundary; states built from it are not validated again."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = DensityOperator.__post_init__
+
+        def counting(rho):
+            calls.append(rho.layout)
+            validate(rho)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+        return calls
+
+    def test_xi_psd_on_split_dicke_validates_nothing(self, validations, capsys):
+        assert run(["check", "--state", "dicke", "--k", "2", "--split", "2x2",
+                    "--criterion", "xi-psd"]) == 1
+        assert validations == []
+
+    def test_decompose_validates_only_the_file_sources(self, validations, tmp_path, rng):
+        sources = []
+        for i in range(3):
+            path = tmp_path / f"source{i}.ncmx"
+            write_matrix(path, random_density(4, rng))
+            sources.append({"family": "file", "params": {"path": str(path), "dims": [2, 2]}})
+        spec = json.dumps({"family": "btn", "params": {"sources": sources}})
+        assert run(["decompose", "--state-json", spec, "--output-dir", str(tmp_path / "parts"),
+                    "--output", str(tmp_path / "manifest.json")]) == 0
+        assert len(validations) == 3
 
 class TestFeasibility:
     def test_feasible_exit_zero(self, tmp_path, capsys):

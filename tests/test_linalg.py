@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from netcm.linalg import (
 from netcm.observables import PAULI_Z
 from netcm.states import random_unitary
 
-from conftest import naive_partial_trace
+from conftest import naive_partial_trace, sequential_partial_trace
 
 
 def complex_matrix(rng, n, m=None):
@@ -127,6 +129,17 @@ class TestPartialTrace:
             assert np.allclose(
                 partial_trace(rho, layout, keep), naive_partial_trace(rho, dims, idx)
             )
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 2), (3, 3, 4, 4), (2,) * 10])
+    def test_bitwise_equal_to_sequential_traces(self, rng, dims):
+        from netcm.states import random_density
+
+        layout = SubsystemLayout(dims, tuple(f"F{i}" for i in range(len(dims))))
+        rho = random_density(layout.dim, rng)
+        for r in range(len(dims) + 1):
+            for keep in combinations(range(len(dims)), r):
+                got = partial_trace(rho, layout, [layout.labels[i] for i in keep])
+                assert np.array_equal(got, sequential_partial_trace(rho, dims, keep)), keep
 
     def test_composes(self, rng):
         from netcm.states import random_density

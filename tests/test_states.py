@@ -1,3 +1,4 @@
+import warnings
 from itertools import permutations, product
 
 import numpy as np
@@ -19,6 +20,7 @@ from netcm.states import (
     maximally_mixed,
     mix_white_noise,
     network_state,
+    pure_state,
     random_density,
     random_kraus_channel,
     random_source,
@@ -298,6 +300,41 @@ class TestDensityOperatorValidation:
             assert np.abs(m - m.conj().T).max() <= 1e-10
             assert abs(np.trace(m).real - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(m)[0] >= -1e-9
+
+
+    def test_constructors_build_exactly_hermitian_states(self, rng):
+        # these constructors skip the spectral check, so each must build an
+        # exactly Hermitian matrix that the validating constructor accepts
+        btn = btn_assemble(*[random_source(2, rng) for _ in range(3)])
+        ghz = ghz_state(3, 4)
+        topo = NetworkTopology(("1", "2", "3", "4"), (("1", "2", "3"), ("3", "4")))
+        states = [mix_white_noise(ghz, v) for v in (0.0, 0.5, 1.0)] + [
+            btn.permuted(("B1", "B2", "A2", "A1", "C2", "C1")),
+            btn.swap_node_factors("B"),
+            split_nodes(ghz, (2, 2)),
+            network_state(topo, [
+                DensityOperator(random_density(8, rng), SubsystemLayout((2, 2, 2), ("x", "y", "z"))),
+                random_source(3, rng)]),
+            ghz_state(10),
+            w_state(), dicke_state(4), cluster4_state(), bell_pair(3), btn,
+        ]
+        for rho in states:
+            m = rho.matrix
+            assert np.array_equal(m, m.conj().T)
+            assert not m.flags.writeable
+            DensityOperator(m, rho.layout)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+    def test_pure_state_rejects_degenerate_vectors(self, bad):
+        vec = np.full(4, bad) if bad == 0.0 else np.array([1.0, bad, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="state vector"):
+                pure_state(vec, SubsystemLayout((2, 2), ("A", "B")))
+
+    def test_trusted_constructor_checks_shape(self):
+        with pytest.raises(ValueError, match="layout dimension"):
+            ghz_state(3).with_layout(SubsystemLayout((2, 2), ("A", "B")))
 
 
 class TestNetworkState:

@@ -473,7 +473,7 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_fidelity_bound(args) -> int:
-    bound = ghz_fidelity_bound(tol=args.tolerance, grid_step=args.grid_step)
+    bound = ghz_fidelity_bound(tol=args.tolerance)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "criterion": "trace-norm",
@@ -491,6 +491,17 @@ def cmd_schema(args) -> int:
 
 
 # -- argument wiring -----------------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance`` value: a finite number >= 0, so no bisection can run forever."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _add_state_args(p: argparse.ArgumentParser):
@@ -511,7 +522,7 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--criterion", default="trace-norm",
                    choices=["trace-norm", "xi-psd", "btn-residual"])
     p.add_argument("--topology", help="'triangle', 'line', or JSON (inline or @file)")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument("--output", help="report path (default: stdout)")
 
 
@@ -546,8 +557,7 @@ def _add_feasibility_args(p: argparse.ArgumentParser):
 
 
 def _add_fidelity_bound_args(p: argparse.ArgumentParser):
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--grid-step", type=float, default=0.02)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-4)
     p.add_argument("--output")
 
 

@@ -386,7 +386,8 @@ def visibility_threshold(state_family: Callable[[float], DensityOperator],
     """Bisection estimate of the visibility where the criterion verdict flips.
 
     ``state_family`` maps a visibility to a state (typically a white-noise
-    mixture); the verdict must be monotone on [lo, hi].
+    mixture); the verdict must be monotone on [lo, hi].  Any ``tol`` >= 0
+    terminates: the bisection also stops at adjacent floats.
     """
     def margin(v: float) -> float:
         rho = state_family(v)
@@ -398,13 +399,22 @@ def visibility_threshold(state_family: Callable[[float], DensityOperator],
         raise ValueError(
             f"no pass/fail sign change on [{lo}, {hi}]: margins {m_lo:.3e}, {m_hi:.3e}"
         )
+    lo, hi = _bisect(margin, lo, hi, tol)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(margin: Callable[[float], float], lo: float, hi: float,
+            tol: float) -> tuple[float, float]:
+    """Narrow [lo, hi], margin(lo) >= 0 > margin(hi), to width <= tol or to adjacent floats."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if margin(mid) >= 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 # -- GHZ fidelity bound -------------------------------------------------------
@@ -441,69 +451,48 @@ def _margin_given_means(fidelity: float, squares, pairs):
     return lhs - rhs
 
 
-def _mean_grid(grid_step: float):
-    """The fidelity-independent terms of the mean grid: axis, sum of squares, pair products."""
-    axis = np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
-    a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
-    return axis, a * a + b * b + c * c, (a * b, a * c, b * c)
+def _candidate_means(fidelity: float) -> list[float]:
+    """Diagonal one-body means (t, t, t) among which :func:`_max_margin` lies."""
+    u = 1.0 - fidelity
+    candidates = [0.0, 1.0]
+    if 0.0 <= fidelity - u <= u * u:
+        candidates.append(float(np.sqrt((fidelity - u) / (u * u))))
+    return candidates
 
 
-def _max_margin_statistics(fidelity: float, grid_step: float, grid) -> float:
-    """Max margin over all box-consistent rest statistics (z, w in [-1, 1]).
+def _max_margin(fidelity: float) -> float:
+    """Exact max of :func:`_margin_given_means` over all one-body means (a, b, c) in [-1, 1]^3.
 
-    For fixed one-body statistics the optimal correlators are explicit, so
-    only the three means are searched: the dense ``grid`` of
-    :func:`_mean_grid` plus coordinate polish.
+    Let u = 1 - F and d = F - u.  For F <= 1/2 the margin is at most 3 (lhs
+    <= 3, rhs >= 0) and zero means reach 3.  For F > 1/2, u^2 < F, so each
+    pair term is 2 max(0, d - u^2 p), which does not increase with the pair
+    product p.  As a^2 + b^2 + c^2 >= ab + ac + bc, the margin is at most 3
+    minus the sum over pairs of h(p) = u^2 p + 2 max(0, d - u^2 p), with
+    equality when a = b = c.  h falls up to p* = d / u^2 and rises after, so
+    on [-1, 1] it is least at min(p*, 1), which the diagonal point with
+    t^2 = min(p*, 1) gives all three pairs at once.  So the maximum lies at
+    one of :func:`_candidate_means`.  As a function of F it is 3 up to 1/2,
+    6 - 6F up to d = u^2 and 3u^2 + 12u - 3 after: it does not increase and
+    is zero at F = 3 - sqrt(5).
     """
-    axis, squares, pairs = grid
-    vals = _margin_given_means(fidelity, squares, pairs)
-    best_flat = int(np.argmax(vals))
-    best = float(vals.flat[best_flat])
-    idx = np.unravel_index(best_flat, vals.shape)
-    point = np.array([axis[idx[0]], axis[idx[1]], axis[idx[2]]])
-    # coordinate-descent polish around the best grid point
-    step = grid_step
-    for _ in range(60):
-        improved = False
-        for k in range(3):
-            for delta in (-step, step):
-                trial = point.copy()
-                trial[k] = float(np.clip(trial[k] + delta, -1.0, 1.0))
-                a, b, c = trial
-                val = float(_margin_given_means(fidelity, a * a + b * b + c * c,
-                                                (a * b, a * c, b * c)))
-                if val > best:
-                    best, point, improved = val, trial, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return best
+    return max(float(_margin_given_means(fidelity, t * t + t * t + t * t, (t * t,) * 3))
+               for t in _candidate_means(fidelity))
 
 
-def ghz_fidelity_bound(tol: float = 1e-4, grid_step: float = 0.02) -> float:
-    """Largest GHZ fidelity the trace-norm criterion cannot exclude.
+def ghz_fidelity_bound(tol: float = 1e-4) -> float:
+    """Largest GHZ fidelity the trace-norm criterion cannot exclude, rounded up.
 
-    Bisection over the fidelity; at each step the criterion margin is
-    maximized over all sigma_z statistics the GHZ-orthogonal rest could
-    contribute (one-body means and pair correlators in [-1, 1], optimized
-    independently, exactly as the worst case of the analytic argument).
-    Any state whose GHZ fidelity exceeds the returned value is excluded
-    from triangle networks with local channels, and by convexity from LOSR
-    triangle networks as well.
+    Bisection over the fidelity F on the criterion margin maximized over all
+    sigma_z statistics the GHZ-orthogonal rest could contribute (one-body
+    means and pair correlators in [-1, 1]), which :func:`_max_margin` gives
+    exactly; its sign changes once, at the exact bound 3 - sqrt(5).  The
+    result is the bracket's midpoint when the margin there is negative and
+    its upper end otherwise: never below the exact bound, at most ``tol``
+    above it, and for ``tol`` = 0 the least float with a negative margin.
+    Any state whose GHZ fidelity exceeds it is excluded from triangle
+    networks with local channels, and by convexity from LOSR triangle
+    networks as well.
     """
-    grid = _mean_grid(grid_step)
-
-    def max_margin(fidelity: float) -> float:
-        return _max_margin_statistics(fidelity, grid_step, grid)
-
-    lo, hi = 0.0, 1.0
-    if max_margin(lo) < 0 or max_margin(hi) >= 0:
-        raise RuntimeError("fidelity bisection bracket failed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if max_margin(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = _bisect(_max_margin, 0.0, 1.0, tol)  # margins 3 at F = 0 and -3 at F = 1
+    mid = 0.5 * (lo + hi)
+    return mid if _max_margin(mid) < 0.0 else hi

@@ -11,6 +11,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from netcm.criteria import _margin_given_means
 from netcm.observables import embed
 from netcm.states import DensityOperator, random_source
 
@@ -56,6 +57,50 @@ def sequential_partial_trace(rho, dims, keep):
         remaining -= 1
     d = int(np.prod([dims[i] for i in keep])) if keep else 1
     return tensor.reshape(d, d)
+
+
+# Heuristic maximum of the GHZ-fidelity margin over one-body means, a 101^3
+# grid plus coordinate polish: the reference for criteria._max_margin.
+
+
+def _mean_grid(grid_step: float):
+    """The fidelity-independent terms of the mean grid: axis, sum of squares, pair products."""
+    axis = np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
+    a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
+    return axis, a * a + b * b + c * c, (a * b, a * c, b * c)
+
+
+def _max_margin_statistics(fidelity: float, grid_step: float, grid) -> float:
+    """Max margin over all box-consistent rest statistics (z, w in [-1, 1]).
+
+    For fixed one-body statistics the optimal correlators are explicit, so
+    only the three means are searched: the dense ``grid`` of
+    :func:`_mean_grid` plus coordinate polish.
+    """
+    axis, squares, pairs = grid
+    vals = _margin_given_means(fidelity, squares, pairs)
+    best_flat = int(np.argmax(vals))
+    best = float(vals.flat[best_flat])
+    idx = np.unravel_index(best_flat, vals.shape)
+    point = np.array([axis[idx[0]], axis[idx[1]], axis[idx[2]]])
+    # coordinate-descent polish around the best grid point
+    step = grid_step
+    for _ in range(60):
+        improved = False
+        for k in range(3):
+            for delta in (-step, step):
+                trial = point.copy()
+                trial[k] = float(np.clip(trial[k] + delta, -1.0, 1.0))
+                a, b, c = trial
+                val = float(_margin_given_means(fidelity, a * a + b * b + c * c,
+                                                (a * b, a * c, b * c)))
+                if val > best:
+                    best, point, improved = val, trial, True
+        if not improved:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return best
 
 
 def brute_force_cm(obs_set, rho: DensityOperator) -> np.ndarray:

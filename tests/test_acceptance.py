@@ -184,8 +184,8 @@ def test_acceptance_8_ghz_fidelity_bound():
     bound = ghz_fidelity_bound(tol=1e-4)
     elapsed = time.perf_counter() - start
     target = 3.0 - np.sqrt(5.0)
-    ok = abs(bound - target) <= 5e-3 and elapsed < 120.0
-    announce(8, ok, f"ghz fidelity bound {bound:.6f} (target {target:.6f} +- 5e-3), {elapsed:.1f} s")
+    ok = target <= bound <= target + 1e-4 and elapsed < 120.0
+    announce(8, ok, f"ghz fidelity bound {bound:.6f} (target {target:.6f} + [0, 1e-4]), {elapsed:.1f} s")
 
 
 # -- criterion 9: theorem-forced property suite --------------------------------

@@ -135,6 +135,12 @@ class TestScan:
         assert load_report(capsys)["refined_threshold"] == pytest.approx(0.5, abs=1e-6)
         assert len(calls) == 1
 
+    def test_refine_with_zero_tolerance_terminates(self, capsys):
+        # the bisection stops once its midpoint equals an end of the bracket
+        assert run(["scan", "--state", "ghz", "--observables", "pauli-z", "--topology", "triangle",
+                    "--grid", "0:1:0.5", "--refine", "--tolerance", "0"]) == 0
+        assert load_report(capsys)["refined_threshold"] == pytest.approx(0.5, abs=1e-12)
+
     def test_bad_grid(self, capsys):
         assert run(["scan", "--state", "w", "--observables", "w-set",
                     "--grid", "nope"]) == 64
@@ -312,6 +318,14 @@ class TestFidelityBound:
         payload = load_report(capsys)
         assert payload["bound"] == pytest.approx(3 - np.sqrt(5), abs=5e-3)
 
+    @pytest.mark.parametrize("tol", ["0", "1e-17"])
+    def test_tolerance_below_float_spacing_terminates(self, tol, capsys):
+        assert run(["fidelity-bound", "--tolerance", tol]) == 0
+        assert 3 - np.sqrt(5) <= load_report(capsys)["bound"] <= 3 - np.sqrt(5) + 1e-15
+
+    def test_grid_step_is_gone(self):
+        assert run(["fidelity-bound", "--grid-step", "0.02"]) == 64
+
 
 class TestSchemaCommand:
     def test_version_field(self, capsys):
@@ -326,6 +340,46 @@ class TestSchemaCommand:
         report["surprise"] = 1
         with pytest.raises(jsonschema.ValidationError):
             validator().validate(report)
+
+
+_GHZ3 = ["--state", "ghz", "--visibility", "0.4", "--observables", "pauli-z",
+         "--topology", "triangle"]
+
+
+class TestTolerance:
+    """``--tolerance`` must be a finite number >= 0; anything else exits 64 before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import netcm.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started with a bad --tolerance")
+
+        for name in ("state_from_spec", "load_cm", "ghz_fidelity_bound"):
+            monkeypatch.setattr(netcm.cli, name, refuse)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e-3x"])
+    @pytest.mark.parametrize("command", [
+        ["check", *_GHZ3],
+        ["scan", *_GHZ3, "--grid", "0:1:0.5", "--refine"],
+        ["feasibility", *_GHZ3],
+        ["fidelity-bound"],
+    ], ids=lambda argv: argv[0])
+    def test_rejected_before_any_work(self, command, value, no_work, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run([*command, "--tolerance", value, "--output", str(out)]) == 64
+        assert not out.exists()
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_negative_check_tolerance_no_longer_flips_the_verdict(self, capsys):
+        # margin 0.6 at v = 0.4: a tolerance of -1 would require margin >= 1
+        assert run(["check", *_GHZ3]) == 0
+        assert run(["check", *_GHZ3, "--tolerance", "-1"]) == 64
+
+    def test_zero_is_accepted(self, capsys):
+        assert run(["check", *_GHZ3, "--tolerance", "0"]) == 0
+        assert load_report(capsys)["tolerance"] == 0.0
 
 
 class TestErrors:

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,11 @@ from netcm.criteria import (
     btn_cm_residual,
     btn_decompose,
     btn_residual_report,
+    _candidate_means,
+    _margin_given_means,
+    _max_margin,
     criterion_margin,
+    ghz_fidelity_bound,
     ghz_statistics_margin,
     psd_margin,
     trace_norm_criterion,
@@ -37,6 +43,8 @@ from netcm.states import (
 )
 from netcm.linalg import SubsystemLayout
 from netcm.topology import NetworkTopology, block_pattern, line_topology, triangle_topology
+
+from conftest import _max_margin_statistics, _mean_grid
 
 
 class TestTopology:
@@ -365,6 +373,63 @@ class TestGhzStatisticsMargin:
             for x, y in (("A", "B"), ("A", "C"), ("B", "C"))
         ])
         assert ghz_statistics_margin(f, z, w_corr) == pytest.approx(rep.margin, abs=1e-10)
+
+
+# fidelities where the exact mean maximum meets its oracles: [0.5, 1] and the bound itself
+ORACLE_FIDELITIES = np.append(np.linspace(0.5, 1.0, 201), 3.0 - np.sqrt(5.0))
+
+
+def _exact_bound() -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return 3 - Decimal(5).sqrt()
+
+
+class TestGhzFidelityBound:
+    def test_exact_max_dominates_grid_oracle(self):
+        grid = _mean_grid(0.02)
+        for f in ORACLE_FIDELITIES:
+            assert _max_margin(f) >= _max_margin_statistics(f, 0.02, grid) - 1e-12, f
+
+    def test_exact_max_dominates_random_means(self):
+        a, b, c = np.random.default_rng(20231106).uniform(-1.0, 1.0, size=(3, 200_000))
+        squares, pairs = a * a + b * b + c * c, (a * b, a * c, b * c)
+        for f in ORACLE_FIDELITIES:
+            assert _max_margin(f) >= float(_margin_given_means(f, squares, pairs).max()) - 1e-12, f
+
+    def test_max_attained_at_a_candidate(self):
+        for f in np.linspace(0.0, 1.0, 1001):
+            candidates = _candidate_means(f)
+            assert all(0.0 <= t <= 1.0 for t in candidates)
+            values = [float(_margin_given_means(f, 3 * t * t, (t * t,) * 3)) for t in candidates]
+            assert _max_margin(f) == pytest.approx(max(values), abs=1e-15)
+            u = 1.0 - f  # the closed form the docstring derives
+            if f <= 0.5:
+                closed = 3.0
+            elif f - u <= u * u:
+                closed = 6.0 - 6.0 * f
+            else:
+                closed = 3.0 * u * u + 12.0 * u - 3.0
+            assert _max_margin(f) == pytest.approx(closed, abs=1e-12), f
+
+    def test_max_does_not_increase_with_fidelity(self):
+        values = np.array([_max_margin(f) for f in np.linspace(0.0, 1.0, 20_001)])
+        assert np.all(np.diff(values) <= 0.0)
+
+    @pytest.mark.parametrize("tol", [10.0 ** -k for k in range(2, 13)])
+    def test_bound_is_sound_at_every_tolerance(self, tol):
+        bound = Decimal(ghz_fidelity_bound(tol))
+        assert _exact_bound() <= bound <= _exact_bound() + Decimal(tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-17, 5e-324])
+    def test_tolerance_below_float_spacing_terminates(self, tol):
+        # the bisection stops at adjacent floats: the least float with a negative margin
+        bound = ghz_fidelity_bound(tol)
+        assert _exact_bound() <= Decimal(bound) <= _exact_bound() + Decimal(2.0 ** -52)
+        assert _max_margin(bound) < 0.0 <= _max_margin(np.nextafter(bound, 0.0))
+
+    def test_default_bound_bytes(self):
+        assert ghz_fidelity_bound() == 0.763946533203125
 
 
 class TestCriterionMargin:

@@ -68,6 +68,8 @@ CASES = {
                                      "--observables", "pauli-z", "--topology", "triangle",
                                      "--output", "report.json"], "report.json"),
     "fidelity-bound": (["fidelity-bound", "--output", "report.json"], "report.json"),
+    "fidelity-bound-tol1e-6": (["fidelity-bound", "--tolerance", "1e-6", "--output", "report.json"],
+                               "report.json"),
 }
 
 

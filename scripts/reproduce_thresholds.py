@@ -27,7 +27,7 @@ BOUND_TOL = 1e-4
 
 
 def row(label, got, expected, tol, misses, above=False):
-    """Print one result: a miss is off by more than tol, or with ``above`` not in [expected, expected + tol]."""
+    """Print one result; with ``above`` it must lie in [expected, expected + tol]."""
     ok = expected <= got <= expected + tol if above else abs(got - expected) <= tol
     print(f"  {label:<34} {got:>12.7f}   expected {expected:>12.7f}   "
           f"diff {abs(got - expected):.2e}{'' if ok else '   MISS'}")

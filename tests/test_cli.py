@@ -372,7 +372,7 @@ class TestTolerance:
         assert not out.exists()
         assert "--tolerance" in capsys.readouterr().err
 
-    def test_negative_check_tolerance_no_longer_flips_the_verdict(self, capsys):
+    def test_negative_check_tolerance_is_rejected(self, capsys):
         # margin 0.6 at v = 0.4: a tolerance of -1 would require margin >= 1
         assert run(["check", *_GHZ3]) == 0
         assert run(["check", *_GHZ3, "--tolerance", "-1"]) == 64

@@ -5,12 +5,12 @@ import pytest
 
 from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, moments
 from netcm.criteria import (
-    btn_cm_residual,
-    btn_decompose,
-    btn_residual_report,
     _candidate_means,
     _margin_given_means,
     _max_margin,
+    btn_cm_residual,
+    btn_decompose,
+    btn_residual_report,
     criterion_margin,
     ghz_fidelity_bound,
     ghz_statistics_margin,

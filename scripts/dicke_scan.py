@@ -4,7 +4,8 @@
 Prints, for each state and white-noise weight, the minimal eigenvalue of the
 xi matrix (full product basis minus the Kronecker remainder, 2x2 node split)
 and whether the state is excluded from the basic triangle scenario.  Writes
-a CSV when an output path is given.
+a CSV when an output path is given.  Exits 1 when the closed-form residual
+of the pure Dicke k = 1 state misses its known value 2/3 by more than 1e-9.
 """
 
 import argparse
@@ -12,6 +13,9 @@ import sys
 
 from netcm.criteria import btn_cm_residual, xi_report
 from netcm.states import dicke_state, ghz_state, mix_white_noise, split_nodes
+
+DICKE_ONE_RESIDUAL = 2.0 / 3.0  # max-abs closed-form residual of the pure k = 1 state
+RESIDUAL_TOL = 1e-9
 
 
 def scan(base, label, weights, rows):
@@ -55,6 +59,10 @@ def main(argv=None):
     _, residual = btn_cm_residual(split_nodes(dicke_state(1), (2, 2)))
     print(f"\npure dicke k=1: closed-form residual max-abs = {residual:.6f} "
           f"(nonzero certifies non-triangle)")
+    if abs(residual - DICKE_ONE_RESIDUAL) > RESIDUAL_TOL:
+        print(f"MISS: residual {residual!r} is not {DICKE_ONE_RESIDUAL!r} "
+              f"within {RESIDUAL_TOL}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -318,16 +318,20 @@ def _build_state_and_obs(args, spec: dict):
 
 
 def cmd_check(args) -> int:
+    if args.criterion == "xi-psd" and args.tolerance is not None:
+        raise SpecError("xi-psd uses its own scaled tolerance 1e-8*(1 + ||xi||_2); "
+                        "drop --tolerance")
+    tolerance = 1e-9 if args.tolerance is None else args.tolerance
     spec = state_spec_from_args(args)
     rho, obs_name, obs = _build_state_and_obs(args, spec)
     topo = topology_from_spec(args.topology, rho.layout.node_order)
     if args.criterion == "trace-norm":
         gamma = covariance_matrix(obs, rho)
-        report = trace_norm_criterion(gamma, topo, tolerance=args.tolerance)
+        report = trace_norm_criterion(gamma, topo, tolerance=tolerance)
     elif args.criterion == "xi-psd":
         report = xi_report(rho, obs)
     elif args.criterion == "btn-residual":
-        report = btn_residual_report(rho, obs)
+        report = btn_residual_report(rho, obs, threshold=tolerance)
     else:
         raise SpecError(f"unknown criterion {args.criterion!r}")
     if args.format == "csv":
@@ -522,7 +526,6 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--criterion", default="trace-norm",
                    choices=["trace-norm", "xi-psd", "btn-residual"])
     p.add_argument("--topology", help="'triangle', 'line', or JSON (inline or @file)")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument("--output", help="report path (default: stdout)")
 
 
@@ -536,7 +539,6 @@ def _add_scan_args(p: argparse.ArgumentParser):
     _add_check_args(p)
     p.add_argument("--grid", required=True, help="start:stop:step over visibility")
     p.add_argument("--refine", action="store_true", help="bisection-refine the threshold")
-    p.set_defaults(tolerance=1e-6)
 
 
 def _add_decompose_args(p: argparse.ArgumentParser):
@@ -553,15 +555,9 @@ def _add_feasibility_args(p: argparse.ArgumentParser):
     p.add_argument("--witness-dir", help="directory for witness export")
     p.add_argument("--slack", action="store_true",
                    help="allow a PSD block-diagonal slack (diagonal <= instead of =)")
-    p.set_defaults(tolerance=1e-7)
 
 
-def _add_fidelity_bound_args(p: argparse.ArgumentParser):
-    p.add_argument("--tolerance", type=_tolerance, default=1e-4)
-    p.add_argument("--output")
-
-
-def _add_schema_args(p: argparse.ArgumentParser):
+def _add_output_arg(p: argparse.ArgumentParser):
     p.add_argument("--output")
 
 
@@ -574,8 +570,20 @@ _COMMANDS = {
     "feasibility": ("block-decomposition feasibility of a CM", cmd_feasibility,
                     _add_feasibility_args),
     "fidelity-bound": ("GHZ fidelity bound from the trace-norm criterion", cmd_fidelity_bound,
-                       _add_fidelity_bound_args),
-    "schema": ("print the JSON report schema", cmd_schema, _add_schema_args),
+                       _add_output_arg),
+    "schema": ("print the JSON report schema", cmd_schema, _add_output_arg),
+}
+
+
+# --tolerance per command, (default, help): it controls something different in each
+_TOLERANCES = {
+    "check": (None, "verdict slack of trace-norm and btn-residual (default 1e-9); not "
+                    "accepted with xi-psd, which scales its own: 1e-8*(1 + ||xi||_2)"),
+    "scan": (1e-6, "--refine bisection width (default %(default)s); grid verdicts use "
+                   "each criterion's default tolerance"),
+    "feasibility": (1e-7, "residual target of a feasible verdict, > 0 (default %(default)s)"),
+    "fidelity-bound": (1e-4, "bisection width (default %(default)s): the bound is at most "
+                             "TOL above 3 - sqrt(5)"),
 }
 
 
@@ -593,6 +601,10 @@ def build_parser(command: str | None = None) -> _Parser:
         p.set_defaults(func=handler)
         if name == command:
             add_args(p)
+            if name in _TOLERANCES:
+                default, text = _TOLERANCES[name]
+                p.add_argument("--tolerance", type=_tolerance, default=default, metavar="TOL",
+                               help=text)
     return parser
 
 

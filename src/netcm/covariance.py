@@ -109,19 +109,11 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
     factors = {x: layout.factors_of(x) for x in nodes}
     stacks, marginals, means = {}, {}, {}
     for x in nodes:
-        group = obs.node_observables(x)
         dx = layout.node_dim(x)
-        if any(o.matrix.shape[0] != dx or o.factor_support is not None for o in group):
-            mats = []
-            node_layout = layout.keep(factors[x])
-            for o in group:
-                if o.factor_support is None and o.matrix.shape[0] == dx:
-                    mats.append(o.matrix)
-                else:
-                    mats.append(embed(o, node_layout))
-            stacks[x] = np.stack(mats)
-        else:
-            stacks[x] = np.stack([o.matrix for o in group])
+        # an observable on part of a node is padded to the whole node
+        stacks[x] = np.stack([o.matrix if o.factor_support is None and o.matrix.shape[0] == dx
+                              else embed(o, layout.keep(factors[x]))
+                              for o in obs.node_observables(x)])
         marginals[x] = partial_trace(rho.matrix, layout, factors[x])
     sizes = [stacks[x].shape[0] for x in nodes]
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -4,9 +4,11 @@ Three families of necessary conditions for a state to arise in a (triangle
 or NCDS) network with bipartite/local sources and local channels:
 
 * the source decomposition of the covariance matrix for triangle states
-  built from explicit reduced observables (``btn_decompose``), and its
-  marginal-only closed form whose defect certifies non-triangle states
-  (``btn_cm_residual``);
+  (``btn_decompose``): source summands, the CMs of implicit reduced
+  observables built from single-factor and pair marginals alone, plus a
+  Kronecker remainder; the same summands, taken from a state's own
+  marginals, give the closed form whose defect certifies non-triangle
+  states (``btn_cm_residual``);
 * the positivity criterion: full-basis CM minus the Kronecker product of
   single-factor marginal CMs must be PSD (``xi_matrix``);
 * the trace-norm criterion tr(Gamma) >= sum w_xy ||gamma_xy||_tr over node
@@ -24,7 +26,7 @@ import numpy as np
 
 from .covariance import BlockCovarianceMatrix, _cross_block, covariance_matrix, moments
 from .linalg import SubsystemLayout, eigvals_hermitian, partial_trace, trace_norm
-from .observables import Observable, ObservableSet, full_product_set, reduced_observable
+from .observables import ObservableSet, full_product_set, orthogonal_basis
 from .states import DensityOperator, triangle_layout
 from .topology import NetworkTopology, triangle_topology
 
@@ -123,7 +125,10 @@ def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology
 _TRIANGLE_WIRING = ((0, 1), (1, 2), (2, 0))  # node-index pairs (X, Y) with span (X2, Y1)
 
 
-def _factor_stacks(obs: ObservableSet, layout: SubsystemLayout):
+def _factor_stacks(obs: ObservableSet | None, layout: SubsystemLayout):
+    """Per-factor basis stacks of the full product set ``obs``, or of the layout's own bases."""
+    if obs is None:
+        return {l: np.stack(list(orthogonal_basis(d))) for l, d in zip(layout.labels, layout.dims)}
     if obs.factor_bases is None:
         raise ValueError("a full product observable set (with per-factor bases) is required")
     missing = set(layout.labels) - set(obs.factor_bases)
@@ -203,125 +208,94 @@ class BtnDecomposition:
         return self.t_c + self.t_b + self.t_a + self.r
 
 
+def _source_parts(nodes, factors, sizes, means, cms,
+                  cross: Callable[[str, str], np.ndarray]) -> list[np.ndarray]:
+    """Padded source summands, one per wiring (X, Y) in ``_TRIANGLE_WIRING``.
+
+    The summand of the source on (X2, Y1) is the CM of its reduced
+    observables, built from marginals alone: |a_X1><a_X1| x Re Gamma_X2 on
+    node X, Re Gamma_Y1 x |b_Y2><b_Y2| on node Y, and a_X1 x C x b_Y2
+    between them, with C = ``cross(X2, Y1)`` the source's cross CM.
+    """
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
+    parts = []
+    for xi, yi in _TRIANGLE_WIRING:
+        x, y = nodes[xi], nodes[yi]
+        fx, fy = factors[x][1], factors[y][0]  # source spans (X2, Y1)
+        ax1, by2 = means[factors[x][0]], means[factors[y][1]]
+        t = np.zeros((offsets[-1], offsets[-1]))
+        # the real parts of the complex factor CMs are the symmetrized ones
+        t[span[x], span[x]] = np.kron(np.outer(ax1, ax1), cms[fx].real)
+        t[span[y], span[y]] = np.kron(cms[fy].real, np.outer(by2, by2))
+        blk = np.einsum("a,bg,d->abgd", ax1, cross(fx, fy), by2).reshape(sizes[xi], sizes[yi])
+        t[span[x], span[y]] = blk
+        t[span[y], span[x]] = blk.T
+        parts.append(t)
+    return parts
+
+
 def btn_decompose(sources: Sequence[DensityOperator],
                   obs: ObservableSet | None = None) -> BtnDecomposition:
-    """Source decomposition of the CM of a triangle state, via reduced observables.
+    """Source decomposition of the CM of a triangle state, from source marginals.
 
     ``sources`` are the three bipartite source states (a, b, c) placed on
     (B2, C1), (C2, A1) and (A2, B1); ``obs`` is a full product observable
-    set of the assembled layout (by default the layout's own, built without
-    assembling the state).  Each cross-node summand is the genuine CM
-    of state-dependent reduced observables evaluated on its source state;
-    the remainder is the Kronecker product of single-factor marginal CMs.
+    set of the assembled layout (by default the layout's own bases).  The
+    source summands, CMs of reduced observables, come from each source's
+    marginals alone (:func:`_source_parts`), and the remainder is the
+    Kronecker product of single-factor marginal CMs.
     """
     rho_a, rho_b, rho_c = sources
-    for name, src in zip("abc", (rho_a, rho_b, rho_c)):
+    for name, src in zip("abc", sources):
         if len(src.layout.dims) != 2 or src.layout.dims[0] != src.layout.dims[1]:
             raise ValueError(f"source {name} must be bipartite d x d, has dims {src.layout.dims}")
-    da, db, dc = (s.layout.dims[0] for s in (rho_a, rho_b, rho_c))
+    da, db, dc = (s.layout.dims[0] for s in sources)
     layout = triangle_layout({"a": da, "b": db, "c": dc})
     nodes = layout.node_order  # (A, B, C)
-    if obs is None:
-        obs = full_product_set(layout)
     stacks = _factor_stacks(obs, layout)
-    if obs.node_order != nodes:
+    if obs is not None and obs.node_order != nodes:
         raise ValueError(f"observable nodes {obs.node_order} must be {nodes}")
+    factors = {x: layout.factors_of(x) for x in nodes}
+    sizes = tuple(len(stacks[f1]) * len(stacks[f2]) for f1, f2 in factors.values())
 
-    # single-factor marginals; source states are (first factor, second factor)
-    marg = {
-        label: partial_trace(src.matrix, src.layout, [src.layout.labels[i]])
-        for src, labels in ((rho_a, ("B2", "C1")), (rho_b, ("C2", "A1")), (rho_c, ("A2", "B1")))
-        for i, label in enumerate(labels)
-    }
+    # each source is ordered (X2, Y1), as its wiring spans it
+    placed = {("B2", "C1"): rho_a, ("C2", "A1"): rho_b, ("A2", "B1"): rho_c}
+    means, cms = {}, {}
+    for labels, src in placed.items():
+        for label, own in zip(labels, src.layout.labels):
+            means[label], cms[label] = moments(
+                stacks[label], partial_trace(src.matrix, src.layout, [own]))
 
-    node_mats = {x: [o.matrix for o in obs.node_observables(x)] for x in nodes}
-    node_dims = {x: tuple(layout.dims[layout.index(l)] for l in layout.factors_of(x)) for x in nodes}
+    def cross(fx: str, fy: str) -> np.ndarray:
+        return _cross_block(stacks[fx], stacks[fy], placed[fx, fy].matrix, means[fx], means[fy])
 
-    def reduced_set(x: str, keep: int) -> list[np.ndarray]:
-        traced = layout.factors_of(x)[0 if keep == 2 else 1]
-        return [reduced_observable(m, node_dims[x], marg[traced], keep=keep) for m in node_mats[x]]
-
-    def source_cm(pair_state: DensityOperator, x: str, x_obs, y: str, y_obs) -> BlockCovarianceMatrix:
-        mini = ObservableSet(
-            tuple(Observable(m, x) for m in x_obs) + tuple(Observable(m, y) for m in y_obs)
-        )
-        return covariance_matrix(mini, pair_state)
-
-    def relabel(src: DensityOperator, labels: tuple[str, str], nodes_: tuple[str, str]) -> DensityOperator:
-        d = src.layout.dims
-        return src.with_layout(SubsystemLayout(d, labels, nodes_))
-
-    a_node, b_node, c_node = nodes
-    cm_c = source_cm(relabel(rho_c, ("A2", "B1"), (a_node, b_node)),
-                     a_node, reduced_set(a_node, keep=2), b_node, reduced_set(b_node, keep=1))
-    rho_b_ac = relabel(rho_b, ("C2", "A1"), (c_node, a_node)).permuted(("A1", "C2"))
-    cm_b = source_cm(rho_b_ac,
-                     a_node, reduced_set(a_node, keep=1), c_node, reduced_set(c_node, keep=2))
-    cm_a = source_cm(relabel(rho_a, ("B2", "C1"), (b_node, c_node)),
-                     b_node, reduced_set(b_node, keep=2), c_node, reduced_set(c_node, keep=1))
-
-    sizes = tuple(len(node_mats[x]) for x in nodes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
-    n = offsets[-1]
-
-    def pad(cm: BlockCovarianceMatrix, x: str, y: str) -> np.ndarray:
-        out = np.zeros((n, n))
-        out[span[x], span[x]] = cm.block(x, x)
-        out[span[y], span[y]] = cm.block(y, y)
-        out[span[x], span[y]] = cm.block(x, y)
-        out[span[y], span[x]] = cm.block(y, x)
-        return out
-
-    return BtnDecomposition(
-        t_c=pad(cm_c, a_node, b_node),
-        t_b=pad(cm_b, a_node, c_node),
-        t_a=pad(cm_a, b_node, c_node),
-        r=_kron_remainder({x: layout.factors_of(x) for x in nodes},
-                          {l: moments(stacks[l], marg[l])[1] for l in layout.labels}),
-        block_sizes=sizes,
-        node_labels=nodes,
-    )
+    t_c, t_a, t_b = _source_parts(nodes, factors, sizes, means, cms, cross)
+    return BtnDecomposition(t_c, t_b, t_a, _kron_remainder(factors, cms), sizes, nodes)
 
 
 def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> tuple[np.ndarray, float]:
     """Defect of the marginal-only closed form of a triangle-state CM.
 
     Rebuilds the CM a triangle state with rho's own marginals would have
-    (rank-one structures on the source pair blocks plus the block-diagonal
-    Kronecker remainder) and subtracts it from the actual CM.  The residual
+    (the summands of :func:`_source_parts` plus the block-diagonal Kronecker
+    remainder) and subtracts it from the actual CM.  The residual
     vanishes for every triangle state; a nonzero residual certifies that the
     state cannot be assembled from three bipartite sources with this wiring.
 
     Returns the residual matrix and its max-abs entry.
     """
     nodes, factors, gamma, stacks, bloch, cms = _triangle_pass(rho, obs)
-    sizes = gamma.block_sizes
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
-    n = offsets[-1]
-    rhs = np.zeros((n, n))
 
-    for xi, yi in _TRIANGLE_WIRING:
-        x, y = nodes[xi], nodes[yi]
-        fx, fy = factors[x][1], factors[y][0]  # source spans (X2, Y1)
+    def cross(fx: str, fy: str) -> np.ndarray:
         pair = partial_trace(rho.matrix, rho.layout, [fx, fy])
         # the marginal keeps layout order; transpose if the pair came out (Y1, X2)
         if rho.layout.index(fx) < rho.layout.index(fy):
-            cross = _cross_block(stacks[fx], stacks[fy], pair, bloch[fx], bloch[fy])
-        else:
-            cross = _cross_block(stacks[fy], stacks[fx], pair, bloch[fy], bloch[fx]).T
-        ax1 = bloch[factors[x][0]]
-        by2 = bloch[factors[y][1]]
-        # the real parts of the complex factor CMs are the symmetrized ones
-        rhs[span[x], span[x]] += np.kron(np.outer(ax1, ax1), cms[fx].real)
-        rhs[span[y], span[y]] += np.kron(cms[fy].real, np.outer(by2, by2))
-        blk = np.einsum("a,bg,d->abgd", ax1, cross, by2).reshape(sizes[xi], sizes[yi])
-        rhs[span[x], span[y]] = blk
-        rhs[span[y], span[x]] = blk.T
+            return _cross_block(stacks[fx], stacks[fy], pair, bloch[fx], bloch[fy])
+        return _cross_block(stacks[fy], stacks[fx], pair, bloch[fy], bloch[fx]).T
 
-    rhs += _kron_remainder(factors, cms)
-    residual = gamma.matrix - rhs
+    t_ab, t_bc, t_ca = _source_parts(nodes, factors, gamma.block_sizes, bloch, cms, cross)
+    residual = gamma.matrix - (t_ab + t_bc + t_ca + _kron_remainder(factors, cms))
     return residual, float(np.abs(residual).max())
 
 
@@ -371,8 +345,7 @@ def criterion_margin(rho: DensityOperator, obs: ObservableSet | None, criterion:
         rep = xi_report(rho, obs)
         return rep.margin + rep.tolerance
     if criterion == "btn-residual":
-        rep = btn_residual_report(rho, obs)
-        return rep.margin
+        return btn_residual_report(rho, obs).margin
     raise ValueError(f"unknown criterion {criterion!r}")
 
 

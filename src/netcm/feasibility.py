@@ -291,8 +291,11 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     of the run, else "inconclusive".
 
     ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
-    free block-diagonal PSD summand, padded to the full CM size.
+    free block-diagonal PSD summand, padded to the full CM size.  ``tol``
+    must be > 0: a floating-point residual need not ever reach zero.
     """
+    if not tol > 0.0:
+        raise ValueError(f"feasibility tolerance must be > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if allow_diagonal_slack:

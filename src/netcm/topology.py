@@ -47,10 +47,6 @@ class NetworkTopology:
                 seen.add(pair)
         return True
 
-    def sources_of(self, node: str) -> tuple[int, ...]:
-        """Indices of the sources feeding ``node``."""
-        return tuple(k for k, s in enumerate(self.sources) if node in s)
-
 
 def triangle_topology(labels: Sequence[str] = ("A", "B", "C")) -> NetworkTopology:
     """Triangle: three bipartite sources a = {B,C}, b = {C,A}, c = {A,B}."""

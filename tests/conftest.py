@@ -11,9 +11,12 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from netcm.covariance import covariance_matrix
 from netcm.criteria import _margin_given_means
-from netcm.observables import embed
-from netcm.states import DensityOperator, random_source
+from netcm.linalg import SubsystemLayout, partial_trace
+from netcm.observables import (Observable, ObservableSet, embed, full_product_set,
+                               reduced_observable)
+from netcm.states import DensityOperator, random_source, triangle_layout
 
 
 def naive_partial_trace(rho, dims, keep):
@@ -101,6 +104,60 @@ def _max_margin_statistics(fidelity: float, grid_step: float, grid) -> float:
             if step < 1e-12:
                 break
     return best
+
+
+def reduced_observable_decomposition(sources) -> tuple[np.ndarray, ...]:
+    """(t_c, t_b, t_a) of a triangle CM from explicit reduced observables.
+
+    The reference for ``criteria.btn_decompose``: each node observable of
+    the full product set is reduced against the marginal of its factor off
+    the source, each source is relabelled onto its node pair, and each
+    summand is ``covariance_matrix`` of the reduced observables on that
+    source state, padded to the full CM.
+    """
+    rho_a, rho_b, rho_c = sources
+    layout = triangle_layout({"a": rho_a.layout.dims[0], "b": rho_b.layout.dims[0],
+                              "c": rho_c.layout.dims[0]})
+    obs = full_product_set(layout)
+    a_node, b_node, c_node = nodes = layout.node_order
+    marg = {
+        label: partial_trace(src.matrix, src.layout, [src.layout.labels[i]])
+        for src, labels in ((rho_a, ("B2", "C1")), (rho_b, ("C2", "A1")), (rho_c, ("A2", "B1")))
+        for i, label in enumerate(labels)
+    }
+
+    def reduced_set(x, keep):
+        traced = layout.factors_of(x)[0 if keep == 2 else 1]
+        dims = tuple(layout.dims[layout.index(l)] for l in layout.factors_of(x))
+        return [reduced_observable(o.matrix, dims, marg[traced], keep=keep)
+                for o in obs.node_observables(x)]
+
+    def source_cm(pair_state, x, x_obs, y, y_obs):
+        mini = ObservableSet(tuple(Observable(m, x) for m in x_obs)
+                             + tuple(Observable(m, y) for m in y_obs))
+        return covariance_matrix(mini, pair_state)
+
+    def relabel(src, labels, pair):
+        return src.with_layout(SubsystemLayout(src.layout.dims, labels, pair))
+
+    cm_c = source_cm(relabel(rho_c, ("A2", "B1"), (a_node, b_node)),
+                     a_node, reduced_set(a_node, 2), b_node, reduced_set(b_node, 1))
+    rho_b_ac = relabel(rho_b, ("C2", "A1"), (c_node, a_node)).permuted(("A1", "C2"))
+    cm_b = source_cm(rho_b_ac, a_node, reduced_set(a_node, 1), c_node, reduced_set(c_node, 2))
+    cm_a = source_cm(relabel(rho_a, ("B2", "C1"), (b_node, c_node)),
+                     b_node, reduced_set(b_node, 2), c_node, reduced_set(c_node, 1))
+
+    offsets = np.concatenate([[0], np.cumsum(obs.block_sizes)])
+    span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
+
+    def pad(cm, x, y):
+        out = np.zeros((offsets[-1], offsets[-1]))
+        for u in (x, y):
+            for v in (x, y):
+                out[span[u], span[v]] = cm.block(u, v)
+        return out
+
+    return pad(cm_c, a_node, b_node), pad(cm_b, a_node, c_node), pad(cm_a, b_node, c_node)
 
 
 def brute_force_cm(obs_set, rho: DensityOperator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import numpy as np
@@ -54,6 +55,33 @@ class TestCheck:
                     "--criterion", "btn-residual"])
         assert code == 1
         assert load_report(capsys)["rhs"] == pytest.approx(2 / 3, abs=1e-9)
+
+    def test_btn_residual_honours_tolerance(self, capsys):
+        # the pure Dicke k = 1 residual is 2/3: excluded at the default 1e-9,
+        # allowed once the tolerance exceeds it
+        argv = ["check", "--state", "dicke", "--k", "1", "--split", "2x2",
+                "--criterion", "btn-residual"]
+        assert run(argv + ["--tolerance", "0.7"]) == 0
+        report = load_report(capsys)
+        assert report["lhs"] == 0.7
+        assert report["pass"] is True
+        assert run(argv + ["--tolerance", "0.6"]) == 1
+        assert load_report(capsys)["lhs"] == 0.6
+        assert run(argv) == 1
+        assert load_report(capsys)["lhs"] == 1e-9
+
+    def test_xi_psd_rejects_tolerance(self, tmp_path, monkeypatch, capsys):
+        import netcm.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started although xi-psd was given --tolerance")
+
+        monkeypatch.setattr(netcm.cli, "state_from_spec", refuse)
+        out = tmp_path / "report.json"
+        assert run(["check", "--state", "dicke", "--k", "2", "--split", "2x2",
+                    "--criterion", "xi-psd", "--tolerance", "5", "--output", str(out)]) == 64
+        assert not out.exists()
+        assert "1e-8*(1 + ||xi||_2)" in capsys.readouterr().err
 
     def test_state_json_with_nested_sources(self, capsys):
         spec = json.dumps({
@@ -221,7 +249,50 @@ class TestValidatedOnce:
                     "--output", str(tmp_path / "manifest.json")]) == 0
         assert len(validations) == 3
 
+    def test_decompose_builds_no_observables_states_or_cms(self, monkeypatch, tmp_path):
+        # the summands come from source marginals: no observable set, no
+        # relabelled source state and no covariance_matrix call
+        import netcm.cli
+        import netcm.covariance
+        import netcm.criteria
+        from netcm.observables import Observable, ObservableSet
+
+        built = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (netcm.cli, netcm.covariance, netcm.criteria):
+            monkeypatch.setattr(module, "covariance_matrix",
+                                counting("covariance_matrix", netcm.covariance.covariance_matrix))
+        for cls in (Observable, ObservableSet, DensityOperator):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(DensityOperator, "_trusted", classmethod(
+            counting("DensityOperator", DensityOperator._trusted.__func__)))
+        spec = json.dumps({"family": "btn", "params": {"sources": [
+            {"family": "bell", "params": {"dim": 2}}, {"family": "bell", "params": {"dim": 3}},
+            {"family": "bell", "params": {"dim": 2}}]}})
+        assert run(["decompose", "--state-json", spec, "--output-dir", str(tmp_path),
+                    "--output", str(tmp_path / "manifest.json")]) == 0
+        assert built == ["DensityOperator"] * 3  # the three Bell sources, nothing else
+
+
 class TestFeasibility:
+    def test_zero_tolerance_is_64(self, tmp_path, capsys):
+        # a floating-point residual need not ever reach 0, so a zero
+        # tolerance would run a feasible CM to the iteration cap
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        code = run(["feasibility", "--state-json", '{"family": "btn", "params": {"bell_dim": 2}}',
+                    "--observables", "full-product", "--tolerance", "0", "--output", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 64
+        assert not out.exists()
+        assert "tolerance must be > 0" in capsys.readouterr().err
+
     def test_feasible_exit_zero(self, tmp_path, capsys):
         code = run(["feasibility", "--state", "btn", "--dim", "2",
                     "--observables", "full-product", "--topology", "triangle",

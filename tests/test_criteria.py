@@ -44,7 +44,7 @@ from netcm.states import (
 from netcm.linalg import SubsystemLayout
 from netcm.topology import NetworkTopology, block_pattern, line_topology, triangle_topology
 
-from conftest import _max_margin_statistics, _mean_grid
+from conftest import _max_margin_statistics, _mean_grid, reduced_observable_decomposition
 
 
 class TestTopology:
@@ -274,6 +274,26 @@ class TestBtnDecompose:
         for part, (x, y) in zip((dec.t_c, dec.t_b, dec.t_a), (("A", "B"), ("A", "C"), ("B", "C"))):
             sl = {n: slice(16 * i, 16 * (i + 1)) for i, n in enumerate("ABC")}
             assert np.abs(part[sl[x], sl[y]]).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=["qubits", "mixed"])
+    def test_matches_reduced_observable_reference(self, rng, dims):
+        # the closed-form summands equal the CMs of explicit reduced
+        # observables on each source, also for unequal source dimensions
+        for _ in range(3):
+            srcs = [random_source(d, rng) for d in dims]
+            dec = btn_decompose(srcs)
+            for part, want in zip((dec.t_c, dec.t_b, dec.t_a),
+                                  reduced_observable_decomposition(srcs)):
+                assert part.shape == want.shape
+                assert np.abs(part - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=["qubits", "mixed"])
+    def test_residual_is_cm_minus_decomposition(self, rng, dims):
+        srcs = [random_source(d, rng) for d in dims]
+        rho = btn_assemble(*srcs)
+        gamma = covariance_matrix(full_product_set(rho.layout), rho)
+        residual, _ = btn_cm_residual(rho)
+        assert np.abs(residual - (gamma.matrix - btn_decompose(srcs).total())).max() <= 1e-12
 
     def test_requires_full_basis(self, rng):
         from netcm.observables import ObservableSet, product_observable_set

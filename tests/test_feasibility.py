@@ -145,6 +145,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iter"):
             solve(ghz_problem(0.8), max_iter=0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            solve(ghz_problem(0.3), tol=tol)
+
 
 class TestCertificate:
     def test_certifies_above_thresholds_within_eight_iterations(self):

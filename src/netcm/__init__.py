@@ -3,8 +3,6 @@
 from .linalg import (
     SubsystemLayout,
     eigvals_hermitian,
-    is_psd,
-    khatri_rao,
     kron,
     partial_trace,
     permute_subsystems,

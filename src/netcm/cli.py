@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .criteria import (
 )
 from .feasibility import FeasibilityProblem, export_witness, solve
 from .linalg import SubsystemLayout
-from .observables import NAMED_SETS, full_product_set, named_observable_set
+from .observables import NAMED_SETS, named_observable_set
 from .states import (
     DensityOperator,
     bell_pair,
@@ -53,6 +52,8 @@ EXIT_SPEC = 64
 EXIT_IO = 74
 
 STATE_FAMILIES = ("ghz", "w", "dicke", "cluster4", "bell", "btn", "file")
+# criteria on the layout's full product basis, which they build themselves
+TRIANGLE_CRITERIA = ("xi-psd", "btn-residual")
 
 
 class SpecError(ValueError):
@@ -299,22 +300,25 @@ def report_schema() -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def _build_state_and_obs(args, spec: dict):
+def _build_state_and_obs(args, spec: dict, criterion: str):
+    """The state of ``spec``, the name of the observable set ``criterion`` reads, and the set.
+
+    The triangle criteria build the layout's full product basis themselves (the set is None).
+    """
+    if criterion in TRIANGLE_CRITERIA:
+        if args.observables not in (None, "full-product"):
+            raise SpecError(f"{criterion} uses the layout's full product basis; "
+                            f"--observables {args.observables} is not accepted")
+        rho = state_from_spec(spec)
+        if criterion == "xi-psd" and not args.split and all(
+            len(rho.layout.factors_of(x)) == 1 for x in rho.layout.node_order
+        ):
+            raise SpecError("xi-psd needs split nodes; pass --split d1xd2")
+        return rho, "full-product", None
+    if not args.observables:
+        raise SpecError(f"{criterion} needs --observables")
     rho = state_from_spec(spec)
-    if args.criterion == "xi-psd" and not args.split and all(
-        len(rho.layout.factors_of(x)) == 1 for x in rho.layout.node_order
-    ):
-        raise SpecError("xi-psd needs split nodes; pass --split d1xd2")
-    obs_name = args.observables
-    obs = None
-    if obs_name:
-        obs = named_observable_set(obs_name, rho.layout)
-    elif args.criterion in ("xi-psd", "btn-residual"):
-        obs_name = "full-product"
-        obs = full_product_set(rho.layout)
-    elif args.criterion == "trace-norm":
-        raise SpecError("the trace-norm criterion needs --observables")
-    return rho, obs_name, obs
+    return rho, args.observables, named_observable_set(args.observables, rho.layout)
 
 
 def cmd_check(args) -> int:
@@ -323,15 +327,15 @@ def cmd_check(args) -> int:
                         "drop --tolerance")
     tolerance = 1e-9 if args.tolerance is None else args.tolerance
     spec = state_spec_from_args(args)
-    rho, obs_name, obs = _build_state_and_obs(args, spec)
+    rho, obs_name, obs = _build_state_and_obs(args, spec, args.criterion)
     topo = topology_from_spec(args.topology, rho.layout.node_order)
     if args.criterion == "trace-norm":
         gamma = covariance_matrix(obs, rho)
         report = trace_norm_criterion(gamma, topo, tolerance=tolerance)
     elif args.criterion == "xi-psd":
-        report = xi_report(rho, obs)
+        report = xi_report(rho)
     elif args.criterion == "btn-residual":
-        report = btn_residual_report(rho, obs, threshold=tolerance)
+        report = btn_residual_report(rho, threshold=tolerance)
     else:
         raise SpecError(f"unknown criterion {args.criterion!r}")
     if args.format == "csv":
@@ -358,21 +362,13 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_scan(args) -> int:
     base_spec = state_spec_from_args(args)
     base_spec.pop("visibility", None)
-    base, obs_name, obs = _build_state_and_obs(args, base_spec)
+    base, obs_name, obs = _build_state_and_obs(args, base_spec, args.criterion)
     topo = topology_from_spec(args.topology, base.layout.node_order)
 
     def family(v: float) -> DensityOperator:
         return mix_white_noise(base, float(v))
 
     grid = _parse_grid(args.grid)
-    # grid points run in turn, so NETCM_THREADS is unused; a malformed
-    # value still exits 64
-    cap = os.environ.get("NETCM_THREADS")
-    if cap is not None:
-        try:
-            int(cap)
-        except ValueError:
-            raise SpecError(f"NETCM_THREADS must be an integer, got {cap!r}") from None
 
     def evaluate(v: float):
         rho = family(v)
@@ -447,9 +443,7 @@ def cmd_feasibility(args) -> int:
         topo = topology_from_spec(args.topology, gamma.node_labels)
     else:
         state_spec = state_spec_from_args(args)
-        rho, obs_name, obs = _build_state_and_obs(args, state_spec)
-        if obs is None:
-            raise SpecError("feasibility needs --observables (or --cm-file)")
+        rho, obs_name, obs = _build_state_and_obs(args, state_spec, "feasibility")
         gamma = covariance_matrix(obs, rho)
         topo = topology_from_spec(args.topology, rho.layout.node_order)
     problem = FeasibilityProblem(gamma, topo)
@@ -522,9 +516,8 @@ def _add_state_args(p: argparse.ArgumentParser):
 
 
 def _add_common_args(p: argparse.ArgumentParser):
-    p.add_argument("--observables", help=f"named set: {', '.join(sorted(NAMED_SETS))}")
-    p.add_argument("--criterion", default="trace-norm",
-                   choices=["trace-norm", "xi-psd", "btn-residual"])
+    p.add_argument("--observables", help=f"named set: {', '.join(sorted(NAMED_SETS))} "
+                                         "(xi-psd and btn-residual: full-product only)")
     p.add_argument("--topology", help="'triangle', 'line', or JSON (inline or @file)")
     p.add_argument("--output", help="report path (default: stdout)")
 
@@ -532,6 +525,8 @@ def _add_common_args(p: argparse.ArgumentParser):
 def _add_check_args(p: argparse.ArgumentParser):
     _add_state_args(p)
     _add_common_args(p)
+    p.add_argument("--criterion", default="trace-norm",
+                   choices=("trace-norm",) + TRIANGLE_CRITERIA)
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
 

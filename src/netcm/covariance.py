@@ -12,21 +12,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import ncmx
-from .linalg import partial_trace, require_hermitian
+from .linalg import partial_trace, psd_margin, require_hermitian
 from .states import DensityOperator
 from .observables import Observable, ObservableSet, embed
-
-PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class BlockCovarianceMatrix:
-    """Real symmetric PSD matrix partitioned into node-indexed blocks."""
+    """Real symmetric matrix, PSD by :func:`~netcm.linalg.psd_margin`, in node-indexed blocks."""
 
     matrix: np.ndarray
     block_sizes: tuple[int, ...]
@@ -43,9 +41,9 @@ class BlockCovarianceMatrix:
         if m.shape != (sum(sizes), sum(sizes)):
             raise ValueError(f"matrix shape {m.shape} does not match block sizes {sizes}")
         m = require_hermitian(m)
-        low = float(np.linalg.eigvalsh(m)[0]) if m.size else 0.0
-        if low < -PSD_TOL:
-            raise ValueError(f"covariance matrix not PSD: min eigenvalue {low:.3e}")
+        low, tol = psd_margin(m)
+        if low < -tol:
+            raise ValueError(f"covariance matrix not PSD: min eigenvalue {low:.3e} < -{tol:.1e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "block_sizes", sizes)
@@ -100,26 +98,37 @@ def _cross_block(stack_x, stack_y, rho_xy, means_x, means_y) -> np.ndarray:
 
 def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarianceMatrix:
     """Covariance matrix of local observables, with node-indexed block structure."""
-    nodes = obs.node_order
     layout = rho.layout
-    unknown = set(nodes) - set(layout.node_order)
+    unknown = set(obs.node_order) - set(layout.node_order)
     if unknown:
         raise KeyError(f"observables on unknown nodes {sorted(unknown)}; "
                        f"state has {layout.node_order}")
-    factors = {x: layout.factors_of(x) for x in nodes}
-    stacks, marginals, means = {}, {}, {}
-    for x in nodes:
+    stacks = {}
+    for x in obs.node_order:
         dx = layout.node_dim(x)
         # an observable on part of a node is padded to the whole node
         stacks[x] = np.stack([o.matrix if o.factor_support is None and o.matrix.shape[0] == dx
-                              else embed(o, layout.keep(factors[x]))
+                              else embed(o, layout.keep(layout.factors_of(x)))
                               for o in obs.node_observables(x)])
-        marginals[x] = partial_trace(rho.matrix, layout, factors[x])
-    sizes = [stacks[x].shape[0] for x in nodes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    full = stacked_covariance(stacks, rho)
+    return BlockCovarianceMatrix(full, tuple(len(s) for s in stacks.values()), tuple(stacks))
+
+
+def stacked_covariance(stacks: Mapping[str, np.ndarray], rho: DensityOperator) -> np.ndarray:
+    """Symmetrized CM of per-node operator stacks, node blocks in the mapping's order.
+
+    ``stacks[x]`` is an ``(n_x, d_x, d_x)`` stack of Hermitian operators on
+    the whole of node x; they are trusted as given.  Blocks come from node
+    and node-pair marginals of ``rho``.
+    """
+    layout = rho.layout
+    nodes = tuple(stacks)
+    factors = {x: layout.factors_of(x) for x in nodes}
+    means = {}
+    offsets = np.concatenate([[0], np.cumsum([len(stacks[x]) for x in nodes])])
     full = np.zeros((offsets[-1], offsets[-1]))
     for i, x in enumerate(nodes):
-        means[x], blk = moments(stacks[x], marginals[x])
+        means[x], blk = moments(stacks[x], partial_trace(rho.matrix, layout, factors[x]))
         full[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = blk.real
     for i, x in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
@@ -132,8 +141,7 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
                 blk = _cross_block(stacks[y], stacks[x], pair, means[y], means[x]).T
             full[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
             full[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
-    full = 0.5 * (full + full.T)
-    return BlockCovarianceMatrix(full, tuple(sizes), nodes)
+    return 0.5 * (full + full.T)
 
 
 def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],

@@ -15,6 +15,10 @@ or NCDS) network with bipartite/local sources and local channels:
   pairs (w_xy = 2 for bipartite sources), valid for every NCDS network
   (``trace_norm_criterion``), with visibility scans and the GHZ fidelity
   bound built on top.
+
+The first two take no observables: they are stated on the layout's full
+product basis, each split node's lexicographic products of its two factors'
+:func:`~netcm.observables.orthogonal_basis` elements.
 """
 
 from __future__ import annotations
@@ -24,27 +28,18 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .covariance import BlockCovarianceMatrix, _cross_block, covariance_matrix, moments
-from .linalg import SubsystemLayout, eigvals_hermitian, partial_trace, trace_norm
-from .observables import ObservableSet, full_product_set, orthogonal_basis
+from .covariance import (BlockCovarianceMatrix, _cross_block, covariance_matrix, moments,
+                         stacked_covariance)
+from .linalg import SubsystemLayout, partial_trace, psd_margin, trace_norm
+from .observables import ObservableSet, orthogonal_basis, product_stack
 from .states import DensityOperator, triangle_layout
 from .topology import NetworkTopology, triangle_topology
 
 __all__ = [
-    "CriterionReport", "BtnDecomposition", "psd_margin",
+    "CriterionReport", "BtnDecomposition",
     "btn_decompose", "btn_cm_residual", "xi_matrix", "xi_report",
     "trace_norm_criterion", "visibility_threshold", "ghz_fidelity_bound",
 ]
-
-PSD_BASE_TOL = 1e-8
-
-
-def psd_margin(matrix) -> tuple[float, float]:
-    """Minimal eigenvalue and the scale-aware PSD tolerance 1e-8 * (1 + ||m||_2)."""
-    vals = eigvals_hermitian(matrix)
-    scale = float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
-    return float(vals[0]) if vals.size else 0.0, PSD_BASE_TOL * (1.0 + scale)
-
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -125,48 +120,36 @@ def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology
 _TRIANGLE_WIRING = ((0, 1), (1, 2), (2, 0))  # node-index pairs (X, Y) with span (X2, Y1)
 
 
-def _factor_stacks(obs: ObservableSet | None, layout: SubsystemLayout):
-    """Per-factor basis stacks of the full product set ``obs``, or of the layout's own bases."""
-    if obs is None:
-        return {l: np.stack(list(orthogonal_basis(d))) for l, d in zip(layout.labels, layout.dims)}
-    if obs.factor_bases is None:
-        raise ValueError("a full product observable set (with per-factor bases) is required")
-    missing = set(layout.labels) - set(obs.factor_bases)
-    if missing:
-        raise ValueError(f"observable set lacks bases for factors {sorted(missing)}")
-    for l in layout.labels:
-        b = obs.factor_bases[l]
-        if b.dim != layout.dims[layout.index(l)]:
-            raise ValueError(f"basis for factor {l!r} has dimension {b.dim}, "
-                             f"layout says {layout.dims[layout.index(l)]}")
-    return {l: np.stack(list(obs.factor_bases[l])) for l in layout.labels}
+def _factor_stacks(layout: SubsystemLayout) -> dict[str, np.ndarray]:
+    """The :func:`orthogonal_basis` of every factor of ``layout``, as a stack."""
+    return {l: np.stack(list(orthogonal_basis(d))) for l, d in zip(layout.labels, layout.dims)}
 
 
-def _triangle_pass(rho: DensityOperator, obs: ObservableSet | None):
+def _triangle_pass(rho: DensityOperator):
     """The data the triangle criteria share, each piece computed once.
 
     Checks that the layout has three nodes of two factors each.  Returns the
-    node order, each node's two factors, the CM of the full product set
-    ``obs`` (built from the layout when None), its per-factor stacks, and the
-    means and complex CM of every single-factor marginal.
+    node order, each node's two factors, the CM of the layout's full product
+    basis (each node's stack the lexicographic products of its two factor
+    stacks), its block sizes, and the means and complex CM of every
+    single-factor marginal.
     """
-    nodes = rho.layout.node_order
+    layout = rho.layout
+    nodes = layout.node_order
     if len(nodes) != 3:
         raise ValueError(f"triangle criteria need exactly three nodes, layout has {len(nodes)}")
-    factors = {x: rho.layout.factors_of(x) for x in nodes}
+    factors = {x: layout.factors_of(x) for x in nodes}
     for x, f in factors.items():
         if len(f) != 2:
             raise ValueError(f"node {x!r} must consist of two factors, has {f}")
-    if obs is None:
-        obs = full_product_set(rho.layout)
-    stacks = _factor_stacks(obs, rho.layout)
-    gamma = covariance_matrix(obs, rho)
-    if gamma.node_labels != nodes:
-        raise ValueError("observable node order must match the layout")
+    stacks = _factor_stacks(layout)
+    node_stacks = {x: product_stack([stacks[f] for f in factors[x]]) for x in nodes}
+    gamma = stacked_covariance(node_stacks, rho)
+    sizes = tuple(len(s) for s in node_stacks.values())
     means, cms = {}, {}
-    for l in rho.layout.labels:
-        means[l], cms[l] = moments(stacks[l], partial_trace(rho.matrix, rho.layout, [l]))
-    return nodes, factors, gamma, stacks, means, cms
+    for l in layout.labels:
+        means[l], cms[l] = moments(stacks[l], partial_trace(rho.matrix, layout, [l]))
+    return nodes, factors, gamma, sizes, stacks, means, cms
 
 
 def _kron_remainder(factors: Mapping[str, tuple[str, str]],
@@ -235,16 +218,14 @@ def _source_parts(nodes, factors, sizes, means, cms,
     return parts
 
 
-def btn_decompose(sources: Sequence[DensityOperator],
-                  obs: ObservableSet | None = None) -> BtnDecomposition:
-    """Source decomposition of the CM of a triangle state, from source marginals.
+def btn_decompose(sources: Sequence[DensityOperator]) -> BtnDecomposition:
+    """Source decomposition of the full-product CM of a triangle state, from source marginals.
 
     ``sources`` are the three bipartite source states (a, b, c) placed on
-    (B2, C1), (C2, A1) and (A2, B1); ``obs`` is a full product observable
-    set of the assembled layout (by default the layout's own bases).  The
-    source summands, CMs of reduced observables, come from each source's
-    marginals alone (:func:`_source_parts`), and the remainder is the
-    Kronecker product of single-factor marginal CMs.
+    (B2, C1), (C2, A1) and (A2, B1).  The source summands, CMs of reduced
+    observables, come from each source's marginals alone
+    (:func:`_source_parts`), and the remainder is the Kronecker product of
+    single-factor marginal CMs.
     """
     rho_a, rho_b, rho_c = sources
     for name, src in zip("abc", sources):
@@ -253,9 +234,7 @@ def btn_decompose(sources: Sequence[DensityOperator],
     da, db, dc = (s.layout.dims[0] for s in sources)
     layout = triangle_layout({"a": da, "b": db, "c": dc})
     nodes = layout.node_order  # (A, B, C)
-    stacks = _factor_stacks(obs, layout)
-    if obs is not None and obs.node_order != nodes:
-        raise ValueError(f"observable nodes {obs.node_order} must be {nodes}")
+    stacks = _factor_stacks(layout)
     factors = {x: layout.factors_of(x) for x in nodes}
     sizes = tuple(len(stacks[f1]) * len(stacks[f2]) for f1, f2 in factors.values())
 
@@ -274,8 +253,8 @@ def btn_decompose(sources: Sequence[DensityOperator],
     return BtnDecomposition(t_c, t_b, t_a, _kron_remainder(factors, cms), sizes, nodes)
 
 
-def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> tuple[np.ndarray, float]:
-    """Defect of the marginal-only closed form of a triangle-state CM.
+def btn_cm_residual(rho: DensityOperator) -> tuple[np.ndarray, float]:
+    """Defect of the marginal-only closed form of a triangle-state full-product CM.
 
     Rebuilds the CM a triangle state with rho's own marginals would have
     (the summands of :func:`_source_parts` plus the block-diagonal Kronecker
@@ -285,7 +264,7 @@ def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> t
 
     Returns the residual matrix and its max-abs entry.
     """
-    nodes, factors, gamma, stacks, bloch, cms = _triangle_pass(rho, obs)
+    nodes, factors, gamma, sizes, stacks, bloch, cms = _triangle_pass(rho)
 
     def cross(fx: str, fy: str) -> np.ndarray:
         pair = partial_trace(rho.matrix, rho.layout, [fx, fy])
@@ -294,37 +273,35 @@ def btn_cm_residual(rho: DensityOperator, obs: ObservableSet | None = None) -> t
             return _cross_block(stacks[fx], stacks[fy], pair, bloch[fx], bloch[fy])
         return _cross_block(stacks[fy], stacks[fx], pair, bloch[fy], bloch[fx]).T
 
-    t_ab, t_bc, t_ca = _source_parts(nodes, factors, gamma.block_sizes, bloch, cms, cross)
-    residual = gamma.matrix - (t_ab + t_bc + t_ca + _kron_remainder(factors, cms))
+    t_ab, t_bc, t_ca = _source_parts(nodes, factors, sizes, bloch, cms, cross)
+    residual = gamma - (t_ab + t_bc + t_ca + _kron_remainder(factors, cms))
     return residual, float(np.abs(residual).max())
 
 
-def xi_matrix(rho: DensityOperator, obs: ObservableSet | None = None) -> np.ndarray:
-    """Full-basis CM minus the block-diagonal Kronecker of single-factor CMs.
+def xi_matrix(rho: DensityOperator) -> np.ndarray:
+    """Full-product CM minus the block-diagonal Kronecker of single-factor CMs.
 
-    Every node of the layout must be split into exactly two factors, and
-    ``obs`` must be a full product set (by default the layout's own).  The
+    Every node of the layout must be split into exactly two factors.  The
     result is PSD for every state assembled from three bipartite sources;
     a negative eigenvalue certifies incompatibility.
     """
-    _, factors, gamma, _, _, cms = _triangle_pass(rho, obs)
-    return gamma.matrix - _kron_remainder(factors, cms)
+    _, factors, gamma, _, _, _, cms = _triangle_pass(rho)
+    return gamma - _kron_remainder(factors, cms)
 
 
-def xi_report(rho: DensityOperator, obs: ObservableSet | None = None) -> CriterionReport:
+def xi_report(rho: DensityOperator) -> CriterionReport:
     """PSD verdict on the xi matrix; lhs is its minimal eigenvalue."""
-    xi = xi_matrix(rho, obs)
+    xi = xi_matrix(rho)
     low, tol = psd_margin(xi)
     return CriterionReport.from_values("xi-psd", low, 0.0, tol, {"min_eigenvalue": low})
 
 
-def btn_residual_report(rho: DensityOperator, obs: ObservableSet | None = None,
-                        threshold: float = 1e-9) -> CriterionReport:
+def btn_residual_report(rho: DensityOperator, threshold: float = 1e-9) -> CriterionReport:
     """Pass iff the triangle closed-form residual stays below ``threshold``.
 
     lhs is the allowed residual, rhs the observed max-abs residual.
     """
-    _, residual = btn_cm_residual(rho, obs)
+    _, residual = btn_cm_residual(rho)
     return CriterionReport.from_values(
         "btn-residual", threshold, residual, 0.0, {"max_abs_residual": residual}
     )
@@ -335,17 +312,17 @@ def btn_residual_report(rho: DensityOperator, obs: ObservableSet | None = None,
 
 def criterion_margin(rho: DensityOperator, obs: ObservableSet | None, criterion: str,
                      topology: NetworkTopology | None) -> float:
-    """Scalar margin of a named criterion; negative means excluded."""
+    """Scalar margin of a named criterion, negative if excluded; only trace-norm reads ``obs``."""
     if criterion == "trace-norm":
         if obs is None:
             raise ValueError("the trace-norm criterion needs an observable set")
         topo = topology or triangle_topology(rho.layout.node_order)
         return trace_norm_criterion(covariance_matrix(obs, rho), topo).margin
     if criterion == "xi-psd":
-        rep = xi_report(rho, obs)
+        rep = xi_report(rho)
         return rep.margin + rep.tolerance
     if criterion == "btn-residual":
-        return btn_residual_report(rho, obs).margin
+        return btn_residual_report(rho).margin
     raise ValueError(f"unknown criterion {criterion!r}")
 
 

@@ -52,6 +52,9 @@ DEFAULT_MAX_ITER = 50000
 # a0 off A by about u ||a0||: all below 1e-9 ||Y|| ||a0|| for stacks of up to
 # 10^6 entries, far beyond what a dense solver handles
 CERT_RTOL = 1e-9
+# a residual plateau below RESIDUAL_FLOOR * max(1, max|Gamma_ij|) is rounding, not
+# evidence of infeasibility: a feasible CM's residual levels off near 1e-15 of its scale
+RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -287,8 +290,9 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     module docstring).  A CM block between two nodes that no source links
     is "infeasible" at once, with that pair as the certificate.  At
     ``max_iter`` without a certificate the verdict is "infeasible-evidence"
-    if the residual plateaued at or above ``10 * tol`` over the last tenth
-    of the run, else "inconclusive".
+    if the residual plateaued at or above both ``10 * tol`` and the rounding
+    floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12 relative) over
+    the last tenth of the run, else "inconclusive".
 
     ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
     free block-diagonal PSD summand, padded to the full CM size.  ``tol``
@@ -334,7 +338,9 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
                     status, certificate = "infeasible", cert
                     break
     history = history[:it]
-    if status == "inconclusive" and history[-max(1, max_iter // 10):].min() >= 10.0 * tol:
+    plateau = history[-max(1, max_iter // 10):].min()
+    floor = RESIDUAL_FLOOR * max(1.0, float(np.abs(problem.gamma.matrix).max(initial=0.0)))
+    if status == "inconclusive" and plateau >= max(10.0 * tol, floor):
         status = "infeasible-evidence"
     witness = stack.to_full(y) if status == "feasible" else None
     return FeasibilityOutcome(status, witness, float(history[-1]), it, history, certificate)

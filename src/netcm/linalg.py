@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
+PSD_BASE_TOL = 1e-8
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -49,42 +50,6 @@ def require_hermitian(m) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def _block_offsets(sizes: Sequence[int]) -> np.ndarray:
-    sizes = np.asarray(sizes, dtype=int)
-    if sizes.size and sizes.min() <= 0:
-        raise ValueError("block sizes must be positive")
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
-def khatri_rao(a, a_blocks, b, b_blocks) -> np.ndarray:
-    """Block-wise Kronecker product of conformally partitioned matrices.
-
-    ``a_blocks`` and ``b_blocks`` are ``(row_sizes, col_sizes)`` pairs
-    partitioning the two operands.  Block ``(i, j)`` of the result is
-    ``kron(A_ij, B_ij)``; both operands must have the same number of row
-    blocks and of column blocks.
-    """
-    a, b = _as_matrix(a), _as_matrix(b)
-    ar, ac = (_block_offsets(s) for s in a_blocks)
-    br, bc = (_block_offsets(s) for s in b_blocks)
-    if len(ar) != len(br) or len(ac) != len(bc):
-        raise ValueError(
-            f"block count mismatch: {len(ar) - 1}x{len(ac) - 1} vs {len(br) - 1}x{len(bc) - 1}"
-        )
-    if ar[-1] != a.shape[0] or ac[-1] != a.shape[1]:
-        raise ValueError("block sizes of first operand do not sum to its shape")
-    if br[-1] != b.shape[0] or bc[-1] != b.shape[1]:
-        raise ValueError("block sizes of second operand do not sum to its shape")
-    out_rows = _block_offsets([(ar[i + 1] - ar[i]) * (br[i + 1] - br[i]) for i in range(len(ar) - 1)])
-    out_cols = _block_offsets([(ac[j + 1] - ac[j]) * (bc[j + 1] - bc[j]) for j in range(len(ac) - 1)])
-    out = np.zeros((out_rows[-1], out_cols[-1]), dtype=complex)
-    for i in range(len(ar) - 1):
-        for j in range(len(ac) - 1):
-            blk = np.kron(a[ar[i]:ar[i + 1], ac[j]:ac[j + 1]], b[br[i]:br[i + 1], bc[j]:bc[j + 1]])
-            out[out_rows[i]:out_rows[i + 1], out_cols[j]:out_cols[j + 1]] = blk
-    return out
 
 
 @dataclass(frozen=True)
@@ -224,10 +189,16 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """True iff the minimal eigenvalue of the (Hermitian) input is >= -tol."""
+def psd_margin(m) -> tuple[float, float]:
+    """Minimal eigenvalue of a Hermitian matrix and its PSD tolerance 1e-8 * (1 + ||m||_2).
+
+    The matrix counts as PSD iff the first is >= minus the second.  The
+    tolerance scales with the spectral norm, read off the same eigenvalues,
+    since rounding grows with the entries.
+    """
     vals = eigvals_hermitian(m)
-    return bool(vals.size == 0 or vals[0] >= -tol)
+    scale = float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
+    return float(vals[0]) if vals.size else 0.0, PSD_BASE_TOL * (1.0 + scale)
 
 
 def psd_project(m) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Local observable sets, orthogonal operator bases, and reduced observables."""
+"""Local observable sets, orthogonal operator bases, and reduced observables.
+
+:func:`product_stack` forms the product bases of both the full product sets
+and the triangle criteria, which use the plain arrays, with no observables.
+"""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,15 +112,9 @@ class Observable:
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """Ordered observables grouped contiguously by node.
-
-    ``factor_bases`` records, for product sets, the per-factor basis the
-    observables were built from (needed by the source-decomposition
-    criteria).
-    """
+    """Ordered observables grouped contiguously by node."""
 
     observables: tuple[Observable, ...]
-    factor_bases: Mapping[str, OrthogonalBasis] | None = None
 
     def __post_init__(self):
         obs = tuple(self.observables)
@@ -129,8 +126,6 @@ class ObservableSet:
                 raise ValueError(f"observables of node {o.node!r} are not contiguous")
             seen[o.node] = i
         object.__setattr__(self, "observables", obs)
-        if self.factor_bases is not None:
-            object.__setattr__(self, "factor_bases", dict(self.factor_bases))
 
     @property
     def node_order(self) -> tuple[str, ...]:
@@ -173,22 +168,27 @@ def embed(obs: Observable, layout: SubsystemLayout) -> np.ndarray:
     return kron(np.eye(before), kron(obs.matrix, np.eye(after)))
 
 
-def product_observable_set(bases: Sequence[OrthogonalBasis], node: str,
-                           factors: Sequence[str] | None = None) -> ObservableSet:
+def product_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """All Kronecker products of one matrix per stack, in lexicographic order.
+
+    Entry (a, b, ...) of the result is kron(s_1[a], s_2[b], ...), the first
+    stack varying slowest, bitwise as chained ``np.kron`` calls form it.
+    """
+    out = stacks[0]
+    for s in stacks[1:]:
+        (n, d), (m, e) = out.shape[:2], s.shape[:2]
+        out = (out[:, None, :, None, :, None] * s[None, :, None, :, None, :]).reshape(
+            n * m, d * e, d * e)
+    return out
+
+
+def product_observable_set(bases: Sequence[OrthogonalBasis], node: str) -> ObservableSet:
     """All tensor products of per-factor basis elements, lexicographic order.
 
     The identity-first ordering of each basis puts the node identity first.
     """
-    if factors is not None and len(factors) != len(bases):
-        raise ValueError(f"got {len(bases)} bases for {len(factors)} factors")
-    obs = []
-    for combo in product(*bases):
-        m = combo[0]
-        for g in combo[1:]:
-            m = kron(m, g)
-        obs.append(Observable(m, node))
-    meta = dict(zip(factors, bases)) if factors is not None else None
-    return ObservableSet(tuple(obs), factor_bases=meta)
+    stack = product_stack([np.stack(list(b)) for b in bases])
+    return ObservableSet(tuple(Observable(m, node) for m in stack))
 
 
 def full_product_set(layout: SubsystemLayout) -> ObservableSet:
@@ -196,17 +196,11 @@ def full_product_set(layout: SubsystemLayout) -> ObservableSet:
 
     Each factor gets the :func:`orthogonal_basis` of its dimension.
     """
-    all_obs: list[Observable] = []
-    all_bases: dict[str, OrthogonalBasis] = {}
-    for node in layout.node_order:
-        factors = layout.factors_of(node)
-        node_bases = []
-        for l in factors:
-            b = orthogonal_basis(layout.dims[layout.index(l)])
-            node_bases.append(b)
-            all_bases[l] = b
-        all_obs.extend(product_observable_set(node_bases, node).observables)
-    return ObservableSet(tuple(all_obs), factor_bases=all_bases)
+    return ObservableSet(tuple(
+        o for node in layout.node_order
+        for o in product_observable_set(
+            [orthogonal_basis(layout.dims[layout.index(l)]) for l in layout.factors_of(node)],
+            node)))
 
 
 def reduced_observable(obs_matrix, dims: tuple[int, int], marginal, keep: int = 2) -> np.ndarray:

@@ -207,7 +207,7 @@ class TestAcceptance9Properties:
             rho = btn_assemble(*srcs)
             obs = full_product_set(rho.layout)
             gamma = covariance_matrix(obs, rho)
-            dec = btn_decompose(srcs, obs)
+            dec = btn_decompose(srcs)
             assert np.abs(dec.total() - gamma.matrix).max() <= 1e-9
             for part in dec.parts():
                 assert np.linalg.eigvalsh(part)[0] >= -1e-8
@@ -223,7 +223,7 @@ class TestAcceptance9Properties:
             rho = btn_assemble(*srcs)
             obs = full_product_set(rho.layout)
             gamma = covariance_matrix(obs, rho)
-            dec = btn_decompose(srcs, obs)
+            dec = btn_decompose(srcs)
             sl = {x: slice(16 * i, 16 * (i + 1)) for i, x in enumerate("ABC")}
             for x, f1, f2 in (("A", "A1", "A2"), ("B", "B1", "B2"), ("C", "C1", "C2")):
                 defect = (gamma.matrix[sl[x], sl[x]]
@@ -243,7 +243,7 @@ class TestAcceptance9Properties:
             rho = btn_assemble(*srcs)
             obs = full_product_set(rho.layout)
             gamma = covariance_matrix(obs, rho)
-            dec = btn_decompose(srcs, obs)
+            dec = btn_decompose(srcs)
             sl = {x: slice(16 * i, 16 * (i + 1)) for i, x in enumerate("ABC")}
             a1, _ = moments(basis, rho.marginal(["A1"]))
             b2, _ = moments(basis, rho.marginal(["B2"]))

@@ -83,6 +83,19 @@ class TestCheck:
         assert not out.exists()
         assert "1e-8*(1 + ||xi||_2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("criterion", ["xi-psd", "btn-residual"])
+    def test_triangle_criteria_take_only_the_full_product_basis(self, criterion, capsys):
+        argv = ["check", "--state", "dicke", "--k", "2", "--split", "2x2", "--criterion", criterion]
+        assert run(argv + ["--observables", "pauli-z"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{criterion} uses the layout's full product basis" in captured.err
+        assert run(argv) == 1
+        default = capsys.readouterr().out
+        assert run(argv + ["--observables", "full-product"]) == 1
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["observables_spec"] == "full-product"
+
     def test_state_json_with_nested_sources(self, capsys):
         spec = json.dumps({
             "family": "btn",
@@ -146,11 +159,6 @@ class TestScan:
         assert code == 0
         assert len(out.read_text().splitlines()) == 12  # header + 11 grid points
 
-    def test_threads_env_not_integer(self, monkeypatch):
-        monkeypatch.setenv("NETCM_THREADS", "two")
-        assert run(["scan", "--state", "ghz", "--observables", "pauli-z",
-                    "--grid", "0:1:0.5"]) == 64
-
     def test_refine_builds_the_state_once(self, monkeypatch, capsys):
         import netcm.cli
 
@@ -211,6 +219,7 @@ class TestDecompose:
         ["decompose", "--state", "btn", "--tolerance", "1e-9"],
         ["decompose", "--state", "btn", "--format", "json"],
         ["feasibility", "--state", "w", "--observables", "w-set", "--format", "json"],
+        ["feasibility", "--state", "btn", "--observables", "full-product", "--criterion", "xi-psd"],
     ])
     def test_options_never_read_are_gone(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +246,21 @@ class TestValidatedOnce:
         assert run(["check", "--state", "dicke", "--k", "2", "--split", "2x2",
                     "--criterion", "xi-psd"]) == 1
         assert validations == []
+
+    @pytest.mark.parametrize("criterion", ["xi-psd", "btn-residual"])
+    def test_triangle_checks_build_no_observables(self, criterion, monkeypatch, capsys):
+        # decompose: see test_decompose_builds_no_observables_states_or_cms
+        from netcm.observables import Observable, ObservableSet
+
+        built = []
+        for cls in (Observable, ObservableSet):
+            def counting(obj, validate=cls.__post_init__):
+                built.append(type(obj).__name__)
+                validate(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        assert run(["check", "--state", "dicke", "--k", "2", "--split", "2x2",
+                    "--criterion", criterion]) == 1
+        assert built == []
 
     def test_decompose_validates_only_the_file_sources(self, validations, tmp_path, rng):
         sources = []
@@ -292,6 +316,20 @@ class TestFeasibility:
         assert code == 64
         assert not out.exists()
         assert "tolerance must be > 0" in capsys.readouterr().err
+
+    def test_residual_floor_is_inconclusive(self, capsys):
+        # a feasible triangle CM plateaus at rounding (about 3e-15), below
+        # the floor 1e-12 * max(1, max|Gamma_ij|): no evidence of infeasibility
+        code = run(["feasibility", "--state-json", '{"family": "btn", "params": {"bell_dim": 2}}',
+                    "--observables", "full-product", "--tolerance", "1e-16", "--max-iter", "300"])
+        payload = load_report(capsys)
+        assert payload["status"] == "inconclusive"
+        assert code == 2
+
+    def test_needs_observables_or_cm_file(self, capsys):
+        assert run(["feasibility", "--state", "ghz", "--visibility", "0.8",
+                    "--topology", "triangle"]) == 64
+        assert "feasibility needs --observables" in capsys.readouterr().err
 
     def test_feasible_exit_zero(self, tmp_path, capsys):
         code = run(["feasibility", "--state", "btn", "--dim", "2",

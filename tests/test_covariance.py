@@ -25,6 +25,7 @@ from netcm.observables import (
 )
 from netcm.states import (
     DensityOperator,
+    bell_pair,
     btn_assemble,
     cluster4_state,
     convex_mix,
@@ -118,9 +119,7 @@ class TestCovarianceMatrix:
         # and on a state with asymmetric cross blocks
         rho2 = btn_assemble(*[random_source(2, rng) for _ in range(3)])
         obs_fwd = full_product_set(rho2.layout)
-        obs_rev = ObservableSet(
-            tuple(o for x in "CBA" for o in obs_fwd.node_observables(x)),
-            factor_bases=obs_fwd.factor_bases)
+        obs_rev = ObservableSet(tuple(o for x in "CBA" for o in obs_fwd.node_observables(x)))
         g1 = covariance_matrix(obs_fwd, rho2)
         g2 = covariance_matrix(obs_rev, rho2)
         assert np.abs(g1.block("A", "C") - g2.block("A", "C")).max() <= 1e-12
@@ -304,6 +303,21 @@ class TestIo:
             BlockCovarianceMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (1, 1), ("A", "B"))
         with pytest.raises(ValueError, match="PSD"):
             BlockCovarianceMatrix(-np.eye(2), (1, 1), ("A", "B"))
+
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_psd_tolerance_scales_with_the_norm(self, scale, tmp_path):
+        # the Bell-triangle CM is singular, so rounding of the scaled matrix
+        # gives eigenvalues below zero that grow with the scale
+        rho = btn_assemble(*[bell_pair(2)] * 3)
+        g = covariance_matrix(full_product_set(rho.layout), rho)
+        big = BlockCovarianceMatrix(scale * g.matrix, g.block_sizes, g.node_labels)
+        save_cm(big, tmp_path / "big.ncmx")
+        assert np.array_equal(load_cm(tmp_path / "big.ncmx").matrix, big.matrix)
+
+    def test_psd_violation_at_unit_scale_rejected(self):
+        m = np.diag([1.0, -1e-6])
+        with pytest.raises(ValueError, match="PSD"):
+            BlockCovarianceMatrix(m, (1, 1), ("A", "B"))
 
     def test_symmetry_tolerance_scales_with_entries(self):
         m = np.array([[1e7, 0.0], [5e-10, 1e7]])  # the asymmetry exceeds the unit-scale 1e-10

@@ -8,13 +8,13 @@ from netcm.criteria import (
     _candidate_means,
     _margin_given_means,
     _max_margin,
+    _triangle_pass,
     btn_cm_residual,
     btn_decompose,
     btn_residual_report,
     criterion_margin,
     ghz_fidelity_bound,
     ghz_statistics_margin,
-    psd_margin,
     trace_norm_criterion,
     visibility_threshold,
     xi_matrix,
@@ -25,7 +25,6 @@ from netcm.observables import (
     ObservableSet,
     full_product_set,
     named_observable_set,
-    pauli_basis,
 )
 from netcm.states import (
     bell_pair,
@@ -41,7 +40,7 @@ from netcm.states import (
     split_nodes,
     w_state,
 )
-from netcm.linalg import SubsystemLayout
+from netcm.linalg import SubsystemLayout, psd_margin
 from netcm.topology import NetworkTopology, block_pattern, line_topology, triangle_topology
 
 from conftest import _max_margin_statistics, _mean_grid, reduced_observable_decomposition
@@ -229,6 +228,28 @@ class TestVisibilityThreshold:
                 "trace-norm", triangle_topology())
 
 
+class TestTrianglePass:
+    """The triangle criteria's own product basis gives the CM of the full product set, bitwise."""
+
+    @staticmethod
+    def assert_same_cm(rho):
+        gamma, sizes = _triangle_pass(rho)[2:4]
+        want = covariance_matrix(full_product_set(rho.layout), rho)
+        assert np.array_equal(gamma, want.matrix)
+        assert sizes == want.block_sizes
+
+    @pytest.mark.parametrize("v", [0.3, 1.0])
+    @pytest.mark.parametrize("state", ["ghz", "dicke1", "dicke2", "dicke3"])
+    def test_split_states(self, state, v):
+        base = ghz_state(3, 4) if state == "ghz" else dicke_state(int(state[-1]))
+        self.assert_same_cm(split_nodes(mix_white_noise(base, v), (2, 2)))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=["qubits", "mixed"])
+    def test_random_btn_states(self, rng, dims):
+        for _ in range(3):
+            self.assert_same_cm(btn_assemble(*[random_source(d, rng) for d in dims]))
+
+
 class TestXi:
     def test_btn_states_are_psd(self, rng):
         for _ in range(5):
@@ -254,9 +275,8 @@ class TestBtnDecompose:
     def test_bell_pairs(self):
         bells = [bell_pair(2) for _ in range(3)]
         rho = btn_assemble(*bells)
-        obs = full_product_set(rho.layout)
-        dec = btn_decompose(bells, obs)
-        g = covariance_matrix(obs, rho)
+        dec = btn_decompose(bells)
+        g = covariance_matrix(full_product_set(rho.layout), rho)
         assert np.abs(dec.total() - g.matrix).max() <= 1e-9
         for part in dec.parts():
             assert np.linalg.eigvalsh(part)[0] >= -1e-8
@@ -270,7 +290,7 @@ class TestBtnDecompose:
                             SubsystemLayout((2, 2), ("1", "2")))
             for _ in range(3)
         ]
-        dec = btn_decompose(srcs, full_product_set(btn_assemble(*srcs).layout))
+        dec = btn_decompose(srcs)
         for part, (x, y) in zip((dec.t_c, dec.t_b, dec.t_a), (("A", "B"), ("A", "C"), ("B", "C"))):
             sl = {n: slice(16 * i, 16 * (i + 1)) for i, n in enumerate("ABC")}
             assert np.abs(part[sl[x], sl[y]]).max() <= 1e-12
@@ -294,18 +314,6 @@ class TestBtnDecompose:
         gamma = covariance_matrix(full_product_set(rho.layout), rho)
         residual, _ = btn_cm_residual(rho)
         assert np.abs(residual - (gamma.matrix - btn_decompose(srcs).total())).max() <= 1e-12
-
-    def test_requires_full_basis(self, rng):
-        from netcm.observables import ObservableSet, product_observable_set
-
-        srcs = [random_source(2, rng) for _ in range(3)]
-        rho = btn_assemble(*srcs)
-        bare = ObservableSet(tuple(
-            o for x in "ABC"
-            for o in product_observable_set([pauli_basis(), pauli_basis()], x).observables
-        ))
-        with pytest.raises(ValueError, match="full product"):
-            btn_decompose(srcs, bare)
 
 
 class TestBtnResidual:

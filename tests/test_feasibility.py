@@ -297,8 +297,8 @@ class TestAffineProjection:
 
 class TestVerifyWitness:
     def test_accepts_folded_decomposition(self, rng):
-        prob, srcs, obs = btn_problem(rng)
-        dec = btn_decompose(srcs, obs)
+        prob, srcs, _ = btn_problem(rng)
+        dec = btn_decompose(srcs)
         # parts ordered by the topology's source order: a={B,C}, b={C,A}, c={A,B}
         witness = witness_from_parts([dec.t_a, dec.t_b, dec.t_c], dec.r, prob)
         assert verify_witness(prob, witness, 1e-7)

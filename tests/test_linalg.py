@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from netcm.linalg import (
     SubsystemLayout,
     eigvals_hermitian,
-    is_psd,
-    khatri_rao,
     kron,
     partial_trace,
     permute_subsystems,
+    psd_margin,
     psd_project,
     require_hermitian,
     trace_norm,
@@ -47,50 +46,6 @@ class TestKron:
         expect = np.zeros((4, 4))
         expect[1, 1] = 1.0  # |01>
         assert np.allclose(out, expect)
-
-
-class TestKhatriRao:
-    def test_two_by_two_blocks(self, rng):
-        # block (i,j) of the result is A_ij x B_ij
-        a = complex_matrix(rng, 5, 4)
-        b = complex_matrix(rng, 3, 6)
-        ab = ((2, 3), (1, 3))
-        bb = ((1, 2), (4, 2))
-        out = khatri_rao(a, ab, b, bb)
-        a00, a01 = a[:2, :1], a[:2, 1:]
-        a10, a11 = a[2:, :1], a[2:, 1:]
-        b00, b01 = b[:1, :4], b[:1, 4:]
-        b10, b11 = b[1:, :4], b[1:, 4:]
-        top = np.hstack([np.kron(a00, b00), np.kron(a01, b01)])
-        bot = np.hstack([np.kron(a10, b10), np.kron(a11, b11)])
-        assert np.allclose(out, np.vstack([top, bot]))
-
-    def test_single_block_is_kron(self, rng):
-        a = complex_matrix(rng, 3, 2)
-        b = complex_matrix(rng, 2, 4)
-        out = khatri_rao(a, ((3,), (2,)), b, ((2,), (4,)))
-        assert np.allclose(out, np.kron(a, b))
-
-    def test_zero_absorbs(self, rng):
-        a = np.zeros((4, 4))
-        b = complex_matrix(rng, 4, 4)
-        out = khatri_rao(a, ((2, 2), (2, 2)), b, ((2, 2), (2, 2)))
-        assert np.abs(out).max() == 0.0
-
-    def test_block_count_mismatch(self, rng):
-        a = complex_matrix(rng, 4, 4)
-        b = complex_matrix(rng, 4, 4)
-        with pytest.raises(ValueError, match="block count"):
-            khatri_rao(a, ((2, 2), (2, 2)), b, ((4,), (4,)))
-
-    def test_all_ones_blocks_reproduce_kron_pattern(self):
-        # all-ones operands: each block of the result is all-ones of the
-        # kron'd block shape, i.e. the kron of the two block patterns
-        a = np.ones((4, 4))
-        b = np.ones((6, 2))
-        out = khatri_rao(a, ((2, 2), (2, 2)), b, ((3, 3), (1, 1)))
-        assert out.shape == (12, 4)
-        assert np.array_equal(out, np.ones((12, 4)))
 
 
 class TestPartialTrace:
@@ -247,10 +202,25 @@ class TestSpectral:
         u, v = random_unitary(6, rng), random_unitary(6, rng)
         assert trace_norm(u @ m @ v) == pytest.approx(trace_norm(m), abs=1e-8)
 
-    def test_is_psd(self):
-        assert is_psd(np.eye(4), 1e-9)
-        assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-9)
-        assert is_psd(np.zeros((3, 3)), 1e-9)
+    def test_psd_margin(self):
+        def is_psd(m):
+            low, tol = psd_margin(m)
+            return low >= -tol
+
+        assert is_psd(np.eye(4))
+        assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert is_psd(np.zeros((3, 3)))
+        assert psd_margin(np.zeros((0, 0))) == (0.0, 1e-8)
+
+    def test_psd_margin_tolerance_scales_with_the_spectral_norm(self):
+        low, tol = psd_margin(np.diag([-2.0, 0.5]))
+        assert (low, tol) == (-2.0, 1e-8 * 3.0)
+        for scale in (1e8, 1e12):
+            # a rounding-sized negative eigenvalue of a large matrix is within tolerance
+            low, tol = psd_margin(np.diag([scale, -1e-9 * scale]))
+            assert low >= -tol
+        low, tol = psd_margin(np.diag([1.0, -1e-6]))
+        assert low < -tol
 
     def test_psd_project_fixed_point(self, rng):
         g = complex_matrix(rng, 5)

@@ -4,14 +4,19 @@ Each case runs ``netcm.cli.main`` in-process, inside a temporary directory,
 and compares its exit code and report with the files under ``tests/golden``:
 keys, key order, strings and booleans exactly, numbers to within
 1e-12 * (1 + |x|) so that another numpy/BLAS build may differ in the last
-digits.  After an intended report change, regenerate the corpus with
+digits.  After an intended report change, regenerate the cases it names with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
+
+which rewrites only those golden files and their ``exit_codes.json`` keys
+(an unknown name exits 2 and writes nothing); with no names it rewrites the
+whole corpus.
 """
 
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -127,15 +132,41 @@ def test_report_matches_golden(name, tmp_path):
     _same(_parse(name, text), _parse(name, _golden_path(name).read_text()), name)
 
 
-def _regenerate() -> None:
+def _regenerate(names: list[str]) -> int:
+    """Rewrite the golden files of ``names``, or of every case if none; the exit status."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown golden case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}",
+              file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name in sorted(CASES):
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if names else {}
+    for name in sorted(set(names) or CASES):
         with tempfile.TemporaryDirectory() as work:
             codes[name], text = _run(name, Path(work))
         _golden_path(name).write_text(text)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    codes_path.write_text(json.dumps(dict(sorted(codes.items())), indent=2) + "\n")
+    return 0
+
+
+def test_regenerate_rewrites_only_named_cases(tmp_path, monkeypatch):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    want = (GOLDEN / "fidelity-bound.json").read_text()
+    (tmp_path / "exit_codes.json").write_text(json.dumps(dict(codes, **{"fidelity-bound": 99})))
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    assert _regenerate(["fidelity-bound"]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["exit_codes.json", "fidelity-bound.json"]
+    assert json.loads((tmp_path / "exit_codes.json").read_text()) == codes
+    assert (tmp_path / "fidelity-bound.json").read_text() == want
+
+
+def test_regenerate_unknown_case_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    assert _regenerate(["fidelity-bound", "no-such-case"]) == 2
+    assert "no-such-case" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 if __name__ == "__main__":
-    _regenerate()
+    sys.exit(_regenerate(sys.argv[1:]))

@@ -576,7 +576,8 @@ _TOLERANCES = {
                     "accepted with xi-psd, which scales its own: 1e-8*(1 + ||xi||_2)"),
     "scan": (1e-6, "--refine bisection width (default %(default)s); grid verdicts use "
                    "each criterion's default tolerance"),
-    "feasibility": (1e-7, "residual target of a feasible verdict, > 0 (default %(default)s)"),
+    "feasibility": (1e-7, "residual target of a feasible verdict, > 0, in units of "
+                          "max(1, max|Gamma_ij|) (default %(default)s)"),
     "fidelity-bound": (1e-4, "bisection width (default %(default)s): the bound is at most "
                              "TOL above 3 - sqrt(5)"),
 }

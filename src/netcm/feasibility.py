@@ -4,7 +4,19 @@ Whether a covariance matrix splits into per-source PSD summands (off-diagonal
 blocks fixed, diagonal blocks free but summing to the CM's diagonal blocks)
 is a convex feasibility problem.  It is solved here with Dykstra's
 alternating projections between the product of PSD cones and the affine
-constraint set A.  A converged iterate is returned as an explicit witness.
+constraint set A, written as a fixed-point map on w = x + p: y = P+(w),
+x = P_A(y), f = x - y, g(w) = w + f (Dykstra's correction for A lies in
+lin(A)^perp, which P_A ignores, so A needs none).  Type-II Anderson
+acceleration (Walker & Ni 2011; Higham & Strabic 2016) replaces g(w) by
+w + f - (dW + dF) c, symmetrised, where dW and dF hold the last
+ANDERSON_DEPTH differences of w and of f, and c minimises
+||f - dF c||^2 + ANDERSON_REG ||f||^2 ||c||^2.  Weighting the Tikhonov term
+by ||f||^2 turns the extrapolation off when f stagnates at a nonzero gap, as
+it does for an infeasible CM, so there the pair a certificate is read from
+follows plain Dykstra.  The history is dropped whenever ||f|| grows, and
+iteration 1 is a plain step from P+(a0), bitwise that of plain Dykstra.  A
+PSD iterate within the target tol * max(1, max|Gamma_ij|) of the affine
+constraints, relative to the CM's scale, is returned as an explicit witness.
 
 Infeasibility is proved by a separating hyperplane read off the gap between
 the two iterates.  Let Y be the PSD iterate minus the affine iterate,
@@ -55,6 +67,9 @@ CERT_RTOL = 1e-9
 # a residual plateau below RESIDUAL_FLOOR * max(1, max|Gamma_ij|) is rounding, not
 # evidence of infeasibility: a feasible CM's residual levels off near 1e-15 of its scale
 RESIDUAL_FLOOR = 1e-12
+# Anderson acceleration (module docstring): (dW, dF) pairs kept, Tikhonov weight per ||f||^2
+ANDERSON_DEPTH = 5
+ANDERSON_REG = 1e-1
 
 
 @dataclass(frozen=True)
@@ -128,6 +143,11 @@ class FeasibilityOutcome:
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_dict()
         return out
+
+
+def _scale(gamma: BlockCovarianceMatrix) -> float:
+    """max(1, max|Gamma_ij|): the unit of every residual target and floor."""
+    return max(1.0, float(np.abs(gamma.matrix).max(initial=0.0)))
 
 
 def _node_slices(gamma: BlockCovarianceMatrix) -> dict[str, slice]:
@@ -282,17 +302,21 @@ def _hyperplane_test(y: np.ndarray, a0: np.ndarray, trace: float) -> tuple[bool,
 
 def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, allow_diagonal_slack: bool = False) -> FeasibilityOutcome:
-    """Dykstra alternating projections between the PSD cones and the affine set.
+    """Anderson-accelerated Dykstra projections between the PSD cones and the affine set.
 
     Stops as soon as the PSD iterate satisfies the affine constraints within
-    ``tol`` (status "feasible", the iterate is the witness), or as soon as a
-    separating-hyperplane certificate verifies (status "infeasible", see the
-    module docstring).  A CM block between two nodes that no source links
-    is "infeasible" at once, with that pair as the certificate.  At
+    the target ``tol * max(1, max|Gamma_ij|)`` (status "feasible", the
+    iterate is the witness), or as soon as a separating-hyperplane
+    certificate verifies (status "infeasible", see the module docstring).
+    A CM block above the target between two nodes that no source links is
+    "infeasible" at once, with that pair as the certificate.  At
     ``max_iter`` without a certificate the verdict is "infeasible-evidence"
-    if the residual plateaued at or above both ``10 * tol`` and the rounding
-    floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12 relative) over
-    the last tenth of the run, else "inconclusive".
+    if the residual plateaued at or above both 10 times the target and the
+    rounding floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12
+    relative) over the last tenth of the run, else "inconclusive".
+
+    Iterations apply the module docstring's map: iteration 1 is plain, later
+    ones extrapolate over up to ``ANDERSON_DEPTH`` steps, restarting when ||f|| grows.
 
     ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
     free block-diagonal PSD summand, padded to the full CM size.  ``tol``
@@ -304,8 +328,10 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if allow_diagonal_slack:
         problem = _with_slack(problem)
+    scale = _scale(problem.gamma)
+    target = tol * scale
     pair, blocked = _uncovered_pair(problem)
-    if blocked > tol:
+    if blocked > target:
         # a CM block between nodes no source connects cannot be matched by
         # any choice of summands; no amount of iteration changes that
         cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
@@ -313,18 +339,17 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     stack = _Stack(problem)
     a0 = stack.start()
     trace = problem.gamma.trace()
-    # Dykstra needs no correction term for the affine set: its correction
-    # lies in lin(A)^perp, which the projection onto A ignores
-    x = psd_project(a0)
-    p = np.zeros_like(x)
-    history = np.empty(max_iter)
-    status, certificate, next_check = "inconclusive", None, 1
+    w = psd_project(a0)
+    history, diffs = [], []  # residuals; Anderson's (dW, dF) pairs, oldest first
+    status, certificate, next_check, last_norm = "inconclusive", None, 1, np.inf
     for it in range(1, max_iter + 1):
-        y = psd_project(x + p)
-        p += x - y
+        # psd_project symmetrises its input this same way, so iteration 1 is
+        # bitwise plain Dykstra; later the extrapolation would amplify drift
+        w = 0.5 * (w + np.swapaxes(w, 1, 2))
+        y = psd_project(w)
         x = stack.affine(y)
-        history[it - 1] = max(stack.violation(y), blocked)
-        if history[it - 1] <= tol:
+        history.append(max(stack.violation(y), blocked))
+        if history[-1] <= target:
             status = "feasible"
             break
         if it == next_check or it == max_iter:
@@ -337,10 +362,23 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
                 if verify_certificate(problem, cert):
                     status, certificate = "infeasible", cert
                     break
-    history = history[:it]
+        f = x - y
+        norm = float(np.linalg.norm(f))
+        if norm > last_norm:
+            diffs.clear()
+        elif it > 1:
+            diffs.append(((w - last_w).ravel(), (f - last_f).ravel()))
+            del diffs[:-ANDERSON_DEPTH]
+        last_w, last_f, last_norm = w, f, norm
+        w = w + f
+        if diffs:
+            dw, df = (np.array(d) for d in zip(*diffs))
+            gram = df @ df.T + ANDERSON_REG * norm * norm * np.eye(len(diffs))
+            coef = np.linalg.solve(gram, df @ f.ravel())
+            w -= ((dw + df).T @ coef).reshape(w.shape)
+    history = np.array(history)
     plateau = history[-max(1, max_iter // 10):].min()
-    floor = RESIDUAL_FLOOR * max(1.0, float(np.abs(problem.gamma.matrix).max(initial=0.0)))
-    if status == "inconclusive" and plateau >= max(10.0 * tol, floor):
+    if status == "inconclusive" and plateau >= max(10.0 * target, RESIDUAL_FLOOR * scale):
         status = "infeasible-evidence"
     witness = stack.to_full(y) if status == "feasible" else None
     return FeasibilityOutcome(status, witness, float(history[-1]), it, history, certificate)
@@ -350,9 +388,9 @@ def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
                    tol: float = DEFAULT_TOL) -> bool:
     """Independent check of a decomposition witness.
 
-    Each summand must be PSD within ``tol``, carry the mask's off-diagonal
-    blocks within ``tol``, be zero outside its source within ``tol``, and
-    the diagonal blocks must sum to the CM's within ``tol``.
+    Each summand must be PSD, carry the mask's off-diagonal blocks and be
+    zero outside its source, and the diagonal blocks must sum to the CM's,
+    all within the target ``tol * max(1, max|Gamma_ij|)`` that ``solve`` stops at.
     """
     if len(witness) != len(problem.masks):
         raise ValueError(f"need {len(problem.masks)} summands, got {len(witness)}")
@@ -360,10 +398,11 @@ def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
     mats = [np.asarray(t, dtype=float) for t in witness]
     if any(t.shape != (n, n) for t in mats):
         raise ValueError("witness summand shapes do not match the CM")
+    target = tol * _scale(problem.gamma)
     for t in mats:
-        if float(np.linalg.eigvalsh(0.5 * (t + t.T))[0]) < -tol:
+        if float(np.linalg.eigvalsh(0.5 * (t + t.T))[0]) < -target:
             return False
-    return _affine_violation(mats, problem) <= tol
+    return _affine_violation(mats, problem) <= target
 
 
 def _affine_violation(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> float:

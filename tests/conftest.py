@@ -13,7 +13,11 @@ import pytest
 
 from netcm.covariance import covariance_matrix
 from netcm.criteria import _margin_given_means
-from netcm.linalg import SubsystemLayout, partial_trace
+from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL, RESIDUAL_FLOOR,
+                               FeasibilityOutcome, FeasibilityProblem,
+                               InfeasibilityCertificate, _hyperplane_test, _Stack,
+                               _uncovered_pair, _with_slack, verify_certificate)
+from netcm.linalg import SubsystemLayout, partial_trace, psd_project
 from netcm.observables import (Observable, ObservableSet, embed, full_product_set,
                                reduced_observable)
 from netcm.states import DensityOperator, random_source, triangle_layout
@@ -178,6 +182,77 @@ def expectation(op, rho: DensityOperator) -> float:
     val = complex(np.trace(np.asarray(op) @ rho.matrix))
     assert abs(val.imag) < 1e-10
     return val.real
+
+
+# Plain Dykstra, the solver before Anderson acceleration: the reference for
+# feasibility.solve's statuses, witnesses and certificate iterations.
+
+
+def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER,
+                  allow_diagonal_slack: bool = False) -> FeasibilityOutcome:
+    """Dykstra alternating projections between the PSD cones and the affine set.
+
+    Stops as soon as the PSD iterate satisfies the affine constraints within
+    ``tol`` (status "feasible", the iterate is the witness), or as soon as a
+    separating-hyperplane certificate verifies (status "infeasible", see the
+    module docstring).  A CM block between two nodes that no source links
+    is "infeasible" at once, with that pair as the certificate.  At
+    ``max_iter`` without a certificate the verdict is "infeasible-evidence"
+    if the residual plateaued at or above both ``10 * tol`` and the rounding
+    floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12 relative) over
+    the last tenth of the run, else "inconclusive".
+
+    ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
+    free block-diagonal PSD summand, padded to the full CM size.  ``tol``
+    must be > 0: a floating-point residual need not ever reach zero.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"feasibility tolerance must be > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if allow_diagonal_slack:
+        problem = _with_slack(problem)
+    pair, blocked = _uncovered_pair(problem)
+    if blocked > tol:
+        # a CM block between nodes no source connects cannot be matched by
+        # any choice of summands; no amount of iteration changes that
+        cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
+        return FeasibilityOutcome("infeasible", None, blocked, 0, np.array([blocked]), cert)
+    stack = _Stack(problem)
+    a0 = stack.start()
+    trace = problem.gamma.trace()
+    # Dykstra needs no correction term for the affine set: its correction
+    # lies in lin(A)^perp, which the projection onto A ignores
+    x = psd_project(a0)
+    p = np.zeros_like(x)
+    history = np.empty(max_iter)
+    status, certificate, next_check = "inconclusive", None, 1
+    for it in range(1, max_iter + 1):
+        y = psd_project(x + p)
+        p += x - y
+        x = stack.affine(y)
+        history[it - 1] = max(stack.violation(y), blocked)
+        if history[it - 1] <= tol:
+            status = "feasible"
+            break
+        if it == next_check or it == max_iter:
+            next_check *= 2
+            sep = stack.separator(y - x)
+            ok, eps, inner, delta = _hyperplane_test(sep, a0, trace)
+            if ok:
+                cert = InfeasibilityCertificate(stack.to_full(sep), epsilon=eps, inner_product=inner,
+                                                delta=delta, iteration=it)
+                if verify_certificate(problem, cert):
+                    status, certificate = "infeasible", cert
+                    break
+    history = history[:it]
+    plateau = history[-max(1, max_iter // 10):].min()
+    floor = RESIDUAL_FLOOR * max(1.0, float(np.abs(problem.gamma.matrix).max(initial=0.0)))
+    if status == "inconclusive" and plateau >= max(10.0 * tol, floor):
+        status = "infeasible-evidence"
+    witness = stack.to_full(y) if status == "feasible" else None
+    return FeasibilityOutcome(status, witness, float(history[-1]), it, history, certificate)
 
 
 @pytest.fixture

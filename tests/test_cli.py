@@ -326,6 +326,37 @@ class TestFeasibility:
         assert payload["status"] == "inconclusive"
         assert code == 2
 
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_scaled_cm_file_feasible(self, scale, tmp_path, capsys):
+        # the residual target is relative to max|Gamma_ij|, so a multiple of a
+        # feasible CM is feasible too
+        from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, load_cm, save_cm
+        from netcm.feasibility import FeasibilityProblem, verify_witness
+        from netcm.ncmx import read_matrix
+        from netcm.observables import full_product_set
+        from netcm.states import bell_pair, btn_assemble
+        from netcm.topology import triangle_topology
+
+        rho = btn_assemble(*[bell_pair(2)] * 3)
+        g = covariance_matrix(full_product_set(rho.layout), rho)
+        save_cm(BlockCovarianceMatrix(scale * g.matrix, g.block_sizes, g.node_labels),
+                tmp_path / "big.ncmx")
+        code = run(["feasibility", "--cm-file", str(tmp_path / "big.ncmx"), "--topology",
+                    "triangle", "--witness-dir", str(tmp_path / "w")])
+        assert code == 0
+        assert load_report(capsys)["status"] == "feasible"
+        manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        witness = [read_matrix(tmp_path / "w" / f).real for f in manifest["witness_files"]]
+        problem = FeasibilityProblem(load_cm(tmp_path / "big.ncmx"), triangle_topology())
+        assert verify_witness(problem, witness)
+
+    def test_huge_iteration_cap_allocates_nothing_up_front(self, capsys):
+        code = run(["feasibility", "--state-json", '{"family": "btn", "params": {"bell_dim": 2}}',
+                    "--observables", "full-product", "--topology", "triangle",
+                    "--max-iter", "1000000000000"])
+        assert code == 0
+        assert load_report(capsys)["status"] == "feasible"
+
     def test_needs_observables_or_cm_file(self, capsys):
         assert run(["feasibility", "--state", "ghz", "--visibility", "0.8",
                     "--topology", "triangle"]) == 64

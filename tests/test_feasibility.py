@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import plain_dykstra
+from netcm import feasibility
+
 from netcm.covariance import BlockCovarianceMatrix, covariance_matrix
 from netcm.criteria import btn_decompose, trace_norm_criterion
 from netcm.feasibility import (
@@ -19,6 +22,7 @@ from netcm.linalg import SubsystemLayout
 from netcm.ncmx import read_matrix
 from netcm.observables import Observable, ObservableSet, full_product_set, named_observable_set
 from netcm.states import (
+    bell_pair,
     btn_assemble,
     ghz_state,
     mix_white_noise,
@@ -149,6 +153,112 @@ class TestSolve:
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tolerance must be > 0"):
             solve(ghz_problem(0.3), tol=tol)
+
+
+
+def near_boundary_problem(state, seed, v):
+    """``state`` mixed with white noise at visibility ``v``, with sigma_z plus one
+    random observable per node (fixed by ``seed``), on the triangle."""
+    rng = np.random.default_rng(seed)
+    rho = mix_white_noise(state, v)
+    obs = []
+    for x in "ABC":
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        obs += [Observable(np.diag([1.0, -1.0]), x), Observable(0.5 * (h + h.conj().T), x)]
+    return FeasibilityProblem(covariance_matrix(ObservableSet(tuple(obs)), rho), triangle_topology())
+
+
+# 840 CMs around the GHZ3 threshold 1/2 and 210 around the W threshold 3/4.  An
+# extrapolation regularised relative to the Gram matrix alone, not to ||f||^2,
+# delays certificates on both sets (4 -> 8 or 16 iterations)
+NEAR_GHZ3 = [(seed, v) for seed in range(40) for v in np.linspace(0.3, 0.7, 21)]
+NEAR_W = [(seed, v) for seed in range(10) for v in np.linspace(0.6, 1.0, 21)]
+
+
+class TestAnderson:
+    """The accelerated solver against plain Dykstra (``conftest.plain_dykstra``)."""
+
+    def test_random_btn_feasible_in_no_more_iterations(self):
+        rng = np.random.default_rng(902)
+        for _ in range(24):
+            prob, _, _ = btn_problem(rng)
+            out, ref = solve(prob), plain_dykstra(prob)
+            assert out.status == ref.status == "feasible"
+            assert verify_witness(prob, out.witness)
+            assert out.iterations <= ref.iterations
+
+    def test_ghz3_near_boundary_matches_plain_dykstra(self):
+        for seed, v in NEAR_GHZ3:
+            prob = near_boundary_problem(ghz_state(3, 2), seed, v)
+            out, ref = solve(prob, max_iter=1000), plain_dykstra(prob, max_iter=1000)
+            assert out.status == ref.status, (seed, v)
+            if ref.certificate is not None:
+                assert out.certificate.iteration <= ref.certificate.iteration, (seed, v)
+
+    def test_w_near_boundary_certificates_no_later(self):
+        # plain Dykstra converges slowly here: within 1000 iterations it leaves
+        # some feasible CMs at infeasible-evidence or inconclusive, which the
+        # accelerated solver resolves with a verified witness
+        for seed, v in NEAR_W:
+            prob = near_boundary_problem(w_state(), seed, v)
+            out, ref = solve(prob, max_iter=1000), plain_dykstra(prob, max_iter=1000)
+            assert (out.status == "infeasible") == (ref.status == "infeasible"), (seed, v)
+            if ref.certificate is not None:
+                assert out.certificate.iteration <= ref.certificate.iteration, (seed, v)
+            if out.status != ref.status:
+                assert out.status == "feasible", (seed, v)
+            if out.status == "feasible":
+                assert verify_witness(prob, out.witness), (seed, v)
+
+    def test_first_iteration_certificate_is_plain_dykstras(self):
+        for prob in (ghz_problem(0.8), w_problem(0.9)):
+            out, ref = solve(prob), plain_dykstra(prob)
+            assert out.iterations == ref.iterations == out.certificate.iteration == 1
+            assert out.residual == ref.residual
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(out.certificate.separator, ref.certificate.separator))
+
+    def test_psd_project_sees_only_symmetric_stacks(self, monkeypatch):
+        seen = []
+
+        def checked(m):
+            seen.append(np.array_equal(m, np.swapaxes(m, -1, -2)))
+            return psd_project(m)
+
+        psd_project = feasibility.psd_project
+        monkeypatch.setattr(feasibility, "psd_project", checked)
+        prob, _, _ = btn_problem(np.random.default_rng(5))
+        assert solve(prob).status == "feasible"
+        assert solve(near_boundary_problem(w_state(), 0, 1.0), max_iter=300).iterations == 300
+        assert len(seen) > 300 and all(seen)
+
+    def test_slack_witness_has_four_verified_summands(self, rng):
+        prob, _, _ = btn_problem(rng)
+        out = solve(prob, allow_diagonal_slack=True)
+        assert out.status == "feasible"
+        assert len(out.witness) == 4
+        relaxed = FeasibilityProblem(prob.gamma, prob.topology,
+                                     tuple(block_pattern(prob.topology)) + (slack_mask(prob),))
+        assert verify_witness(relaxed, out.witness)
+
+    def test_residual_history_grows_with_the_run(self):
+        # no up-front allocation of max_iter entries
+        prob, _, _ = btn_problem(np.random.default_rng(3))
+        out = solve(prob, max_iter=10**12)
+        assert out.status == "feasible"
+        assert len(out.residual_history) == out.iterations
+
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_target_relative_to_the_cm(self, scale):
+        rho = btn_assemble(*[bell_pair(2)] * 3)
+        g = covariance_matrix(full_product_set(rho.layout), rho)
+        big = FeasibilityProblem(
+            BlockCovarianceMatrix(scale * g.matrix, g.block_sizes, g.node_labels), triangle_topology())
+        out = solve(big)
+        assert out.status == "feasible"
+        assert out.residual <= 1e-7 * scale
+        assert verify_witness(big, out.witness)
+        assert not verify_witness(big, out.witness, 1e-300)
 
 
 class TestCertificate:

@@ -13,8 +13,8 @@ ANDERSON_DEPTH differences of w and of f, and c minimises
 ||f - dF c||^2 + ANDERSON_REG ||f||^2 ||c||^2.  Weighting the Tikhonov term
 by ||f||^2 turns the extrapolation off when f stagnates at a nonzero gap, as
 it does for an infeasible CM, so there the pair a certificate is read from
-follows plain Dykstra.  The history is dropped whenever ||f|| grows, and
-iteration 1 is a plain step from P+(a0), bitwise that of plain Dykstra.  A
+follows plain Dykstra.  Iteration 1 is a plain step from P+(a0), bitwise
+that of plain Dykstra, so a certificate found there is plain Dykstra's.  A
 PSD iterate within the target tol * max(1, max|Gamma_ij|) of the affine
 constraints, relative to the CM's scale, is returned as an explicit witness.
 
@@ -316,7 +316,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     relative) over the last tenth of the run, else "inconclusive".
 
     Iterations apply the module docstring's map: iteration 1 is plain, later
-    ones extrapolate over up to ``ANDERSON_DEPTH`` steps, restarting when ||f|| grows.
+    ones extrapolate over the last ``ANDERSON_DEPTH`` steps.
 
     ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
     free block-diagonal PSD summand, padded to the full CM size.  ``tol``
@@ -341,7 +341,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     trace = problem.gamma.trace()
     w = psd_project(a0)
     history, diffs = [], []  # residuals; Anderson's (dW, dF) pairs, oldest first
-    status, certificate, next_check, last_norm = "inconclusive", None, 1, np.inf
+    status, certificate, next_check = "inconclusive", None, 1
     for it in range(1, max_iter + 1):
         # psd_project symmetrises its input this same way, so iteration 1 is
         # bitwise plain Dykstra; later the extrapolation would amplify drift
@@ -363,17 +363,14 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
                     status, certificate = "infeasible", cert
                     break
         f = x - y
-        norm = float(np.linalg.norm(f))
-        if norm > last_norm:
-            diffs.clear()
-        elif it > 1:
+        if it > 1:
             diffs.append(((w - last_w).ravel(), (f - last_f).ravel()))
             del diffs[:-ANDERSON_DEPTH]
-        last_w, last_f, last_norm = w, f, norm
+        last_w, last_f = w, f
         w = w + f
         if diffs:
             dw, df = (np.array(d) for d in zip(*diffs))
-            gram = df @ df.T + ANDERSON_REG * norm * norm * np.eye(len(diffs))
+            gram = df @ df.T + ANDERSON_REG * float(np.vdot(f, f)) * np.eye(len(diffs))
             coef = np.linalg.solve(gram, df @ f.ravel())
             w -= ((dw + df).T @ coef).reshape(w.shape)
     history = np.array(history)

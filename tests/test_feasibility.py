@@ -83,6 +83,19 @@ class TestSolve:
         assert out.status == "feasible"
         assert verify_witness(scaled, out.witness, 1e-7 * scale)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e5, 1e7])
+    def test_scaled_btn_cm_meets_the_relative_target(self, rng, scale):
+        # the target is tol * max|Gamma_ij|: the unscaled tol asks a scaled CM
+        # for the relative accuracy it asks of the original
+        prob, _, _ = btn_problem(rng)
+        g = prob.gamma
+        scaled = FeasibilityProblem(
+            BlockCovarianceMatrix(scale * g.matrix, g.block_sizes, g.node_labels), prob.topology)
+        out = solve(scaled, tol=1e-7)
+        assert out.status == "feasible"
+        assert out.residual <= 1e-7 * np.abs(scaled.gamma.matrix).max()
+        assert verify_witness(scaled, out.witness, 1e-7)
+
     def test_ghz_violating_cm_infeasible(self):
         out = solve(ghz_problem(0.6), tol=1e-7, max_iter=3000)
         assert out.status == "infeasible"
@@ -208,6 +221,15 @@ class TestAnderson:
                 assert out.status == "feasible", (seed, v)
             if out.status == "feasible":
                 assert verify_witness(prob, out.witness), (seed, v)
+
+    def test_plain_dykstra_residual_is_monotone(self, rng):
+        # the accelerated residual need not fall monotonically and reaches the
+        # target in about 12 iterations, so the monotone tail that
+        # TestSolve.test_monotone_residual was written for is checked here
+        prob, _, _ = btn_problem(rng)
+        h = plain_dykstra(prob).residual_history
+        assert len(h) > 30
+        assert (np.diff(h[10:]) <= 1e-12).all()
 
     def test_first_iteration_certificate_is_plain_dykstras(self):
         for prob in (ghz_problem(0.8), w_problem(0.9)):

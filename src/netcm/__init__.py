@@ -13,6 +13,7 @@ from .ncmx import read_matrix, write_matrix
 from .states import (
     DensityOperator,
     KrausChannel,
+    NoisyPureState,
     apply_local_channels,
     apply_local_unitaries,
     bell_pair,
@@ -50,11 +51,13 @@ from .covariance import (
     product_state_cm,
     recombine_cm,
     save_cm,
+    white_noise_cm,
 )
 from .topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
 from .criteria import (
     BtnDecomposition,
     CriterionReport,
+    WhiteNoiseScan,
     btn_cm_residual,
     btn_decompose,
     ghz_fidelity_bound,

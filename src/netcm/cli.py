@@ -19,12 +19,11 @@ from . import ncmx
 from .covariance import covariance_matrix, load_cm
 from .criteria import (
     CriterionReport,
+    WhiteNoiseScan,
     btn_decompose,
     btn_residual_report,
-    criterion_margin,
     ghz_fidelity_bound,
     trace_norm_criterion,
-    visibility_threshold,
     xi_report,
 )
 from .feasibility import FeasibilityProblem, export_witness, solve
@@ -349,40 +348,27 @@ def cmd_check(args) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """Visibilities start, start + step, ... up to stop: finite, inside [0, 1], step > 0."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise SpecError(f"--grid must look like start:stop:step, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise SpecError(f"bad grid {text!r}")
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and 0.0 <= start <= stop <= 1.0):
+        raise SpecError(f"bad grid {text!r}: need finite 0 <= start <= stop <= 1 and step > 0")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    # the 1e-9 slack may step past stop by a rounding error; never past 1
+    return np.minimum(start + step * np.arange(count), 1.0)
 
 
 def cmd_scan(args) -> int:
+    grid = _parse_grid(args.grid)
     base_spec = state_spec_from_args(args)
     base_spec.pop("visibility", None)
     base, obs_name, obs = _build_state_and_obs(args, base_spec, args.criterion)
-    topo = topology_from_spec(args.topology, base.layout.node_order)
-
-    def family(v: float) -> DensityOperator:
-        return mix_white_noise(base, float(v))
-
-    grid = _parse_grid(args.grid)
-
-    def evaluate(v: float):
-        rho = family(v)
-        if args.criterion == "trace-norm":
-            rep = trace_norm_criterion(covariance_matrix(obs, rho), topo)
-            return rep.lhs, rep.rhs, rep.margin, rep.passed
-        margin = criterion_margin(rho, obs, args.criterion, topo)
-        return margin, 0.0, margin, margin >= 0.0
-
-    rows = [evaluate(v) for v in grid]
-
-    threshold = None
-    if args.refine:
-        threshold = visibility_threshold(family, obs, args.criterion, topo, tol=args.tolerance)
+    scan = WhiteNoiseScan(base, obs, args.criterion,
+                          topology_from_spec(args.topology, base.layout.node_order))
+    rows = [scan.row(float(v)) for v in grid]
+    threshold = scan.threshold(tol=args.tolerance) if args.refine else None
 
     if args.format == "csv":
         lines = ["visibility,lhs,rhs,margin,pass"]
@@ -576,8 +562,8 @@ _TOLERANCES = {
                     "accepted with xi-psd, which scales its own: 1e-8*(1 + ||xi||_2)"),
     "scan": (1e-6, "--refine bisection width (default %(default)s); grid verdicts use "
                    "each criterion's default tolerance"),
-    "feasibility": (1e-7, "residual target of a feasible verdict, > 0, in units of "
-                          "max(1, max|Gamma_ij|) (default %(default)s)"),
+    "feasibility": (1e-7, "residual target of a feasible verdict, > 0, in units of the "
+                          "CM's own max|Gamma_ij| (default %(default)s)"),
     "fidelity-bound": (1e-4, "bisection width (default %(default)s): the bound is at most "
                              "TOL above 3 - sqrt(5)"),
 }

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import ncmx
-from .linalg import partial_trace, psd_margin, require_hermitian
-from .states import DensityOperator
+from .linalg import psd_margin, require_hermitian
+from .states import DensityOperator, maximally_mixed
 from .observables import Observable, ObservableSet, embed
 
 
@@ -69,6 +69,12 @@ class BlockCovarianceMatrix:
         return float(np.trace(self.matrix))
 
 
+def _raw_moments(stack: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means <O_m> and unsymmetrized second moments <O_m O_n> of a stack on a matrix."""
+    means = np.einsum("mij,ji->m", stack, rho).real
+    return means, np.einsum("mik,nkj,ji->mn", stack, stack, rho)
+
+
 def moments(observables: Sequence, rho) -> tuple[np.ndarray, np.ndarray]:
     """Means <O_m> and the Hermitian CM <O_m O_n> - <O_m><O_n> of observables on one state.
 
@@ -83,22 +89,24 @@ def moments(observables: Sequence, rho) -> tuple[np.ndarray, np.ndarray]:
     stack = np.stack([o.matrix if isinstance(o, Observable) else np.asarray(o) for o in observables])
     if stack.shape[1:] != rho.shape:
         raise ValueError("observable dimensions do not match the state")
-    means = np.einsum("mij,ji->m", stack, rho).real
-    second = np.einsum("mik,nkj,ji->mn", stack, stack, rho)
+    means, second = _raw_moments(stack, rho)
     return means, second - np.outer(means, means)
 
 
-def _cross_block(stack_x, stack_y, rho_xy, means_x, means_y) -> np.ndarray:
+def _cross_second(stack_x, stack_y, rho_xy) -> np.ndarray:
+    """Re <X_m Y_n> on the pair marginal of two nodes, x's factors first."""
     dx, dy = stack_x.shape[1], stack_y.shape[1]
     rho4 = rho_xy.reshape(dx, dy, dx, dy)
     t = np.einsum("njl,klij->nki", stack_y, rho4)
-    second = np.einsum("mik,nki->mn", stack_x, t)
-    return second.real - np.outer(means_x, means_y)
+    return np.einsum("mik,nki->mn", stack_x, t).real
 
 
-def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarianceMatrix:
-    """Covariance matrix of local observables, with node-indexed block structure."""
-    layout = rho.layout
+def _cross_block(stack_x, stack_y, rho_xy, means_x, means_y) -> np.ndarray:
+    return _cross_second(stack_x, stack_y, rho_xy) - np.outer(means_x, means_y)
+
+
+def _node_stacks(obs: ObservableSet, layout) -> dict[str, np.ndarray]:
+    """Each node's observables as one stack of operators on the whole node."""
     unknown = set(obs.node_order) - set(layout.node_order)
     if unknown:
         raise KeyError(f"observables on unknown nodes {sorted(unknown)}; "
@@ -110,38 +118,73 @@ def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarian
         stacks[x] = np.stack([o.matrix if o.factor_support is None and o.matrix.shape[0] == dx
                               else embed(o, layout.keep(layout.factors_of(x)))
                               for o in obs.node_observables(x)])
-    full = stacked_covariance(stacks, rho)
+    return stacks
+
+
+def _block_cm(stacks: Mapping[str, np.ndarray], full: np.ndarray) -> BlockCovarianceMatrix:
     return BlockCovarianceMatrix(full, tuple(len(s) for s in stacks.values()), tuple(stacks))
 
 
-def stacked_covariance(stacks: Mapping[str, np.ndarray], rho: DensityOperator) -> np.ndarray:
-    """Symmetrized CM of per-node operator stacks, node blocks in the mapping's order.
+def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarianceMatrix:
+    """Covariance matrix of local observables, with node-indexed block structure."""
+    stacks = _node_stacks(obs, rho.layout)
+    return _block_cm(stacks, stacked_covariance(stacks, rho))
+
+
+def white_noise_cm(obs: ObservableSet, rho: DensityOperator) -> Callable[[float], BlockCovarianceMatrix]:
+    """The CM of v*rho + (1 - v)*1/d as a function of the visibility v.
+
+    Means and second moments are linear in the state, so the means a and
+    second moments M of rho and of 1/d are computed once, and the CM at v is
+    v M(rho) + (1 - v) M(1/d) - a(v) a(v)^T with a(v) = v a(rho) + (1 - v) a(1/d):
+    O(n^2) per visibility, no marginal taken again.
+    """
+    stacks = _node_stacks(obs, rho.layout)
+    (a1, m1), (a0, m0) = (_stacked_moments(stacks, r) for r in (rho, maximally_mixed(rho.layout)))
+    return lambda v: _block_cm(stacks, _centred(v * a1 + (1.0 - v) * a0, v * m1 + (1.0 - v) * m0))
+
+
+def _stacked_moments(stacks: Mapping[str, np.ndarray],
+                    rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Means and real second moments Re<O_m O_n> of per-node operator stacks, in mapping order.
 
     ``stacks[x]`` is an ``(n_x, d_x, d_x)`` stack of Hermitian operators on
     the whole of node x; they are trusted as given.  Blocks come from node
-    and node-pair marginals of ``rho``.
+    and node-pair marginals of ``rho``.  The second moments are not yet
+    symmetrized (see :func:`stacked_covariance`).
     """
     layout = rho.layout
     nodes = tuple(stacks)
     factors = {x: layout.factors_of(x) for x in nodes}
-    means = {}
+    means = []
     offsets = np.concatenate([[0], np.cumsum([len(stacks[x]) for x in nodes])])
-    full = np.zeros((offsets[-1], offsets[-1]))
+    second = np.zeros((offsets[-1], offsets[-1]))
     for i, x in enumerate(nodes):
-        means[x], blk = moments(stacks[x], partial_trace(rho.matrix, layout, factors[x]))
-        full[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = blk.real
+        a, blk = _raw_moments(stacks[x], rho.marginal_matrix(factors[x]))
+        means.append(a)
+        second[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = blk.real
     for i, x in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             y = nodes[j]
-            pair = partial_trace(rho.matrix, layout, factors[x] + factors[y])
+            pair = rho.marginal_matrix(factors[x] + factors[y])
             # the marginal keeps the state's factor order, which may put y first
             if layout.index(factors[x][0]) < layout.index(factors[y][0]):
-                blk = _cross_block(stacks[x], stacks[y], pair, means[x], means[y])
+                blk = _cross_second(stacks[x], stacks[y], pair)
             else:
-                blk = _cross_block(stacks[y], stacks[x], pair, means[y], means[x]).T
-            full[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
-            full[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
+                blk = _cross_second(stacks[y], stacks[x], pair).T
+            second[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
+            second[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
+    return np.concatenate(means), second
+
+
+def _centred(means: np.ndarray, second: np.ndarray) -> np.ndarray:
+    full = second - np.outer(means, means)
     return 0.5 * (full + full.T)
+
+
+def stacked_covariance(stacks: Mapping[str, np.ndarray], rho: DensityOperator) -> np.ndarray:
+    """Symmetrized CM of per-node operator stacks (see :func:`_stacked_moments`)."""
+    return _centred(*_stacked_moments(stacks, rho))
 
 
 def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],

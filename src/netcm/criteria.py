@@ -29,16 +29,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .covariance import (BlockCovarianceMatrix, _cross_block, covariance_matrix, moments,
-                         stacked_covariance)
-from .linalg import SubsystemLayout, partial_trace, psd_margin, trace_norm
+                         stacked_covariance, white_noise_cm)
+from .linalg import SubsystemLayout, psd_margin, trace_norm
 from .observables import ObservableSet, orthogonal_basis, product_stack
-from .states import DensityOperator, triangle_layout
+from .states import DensityOperator, mix_white_noise, triangle_layout
 from .topology import NetworkTopology, triangle_topology
 
 __all__ = [
     "CriterionReport", "BtnDecomposition",
     "btn_decompose", "btn_cm_residual", "xi_matrix", "xi_report",
-    "trace_norm_criterion", "visibility_threshold", "ghz_fidelity_bound",
+    "trace_norm_criterion", "WhiteNoiseScan", "visibility_threshold", "ghz_fidelity_bound",
 ]
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _triangle_pass(rho: DensityOperator):
     sizes = tuple(len(s) for s in node_stacks.values())
     means, cms = {}, {}
     for l in layout.labels:
-        means[l], cms[l] = moments(stacks[l], partial_trace(rho.matrix, layout, [l]))
+        means[l], cms[l] = moments(stacks[l], rho.marginal_matrix([l]))
     return nodes, factors, gamma, sizes, stacks, means, cms
 
 
@@ -243,11 +243,12 @@ def btn_decompose(sources: Sequence[DensityOperator]) -> BtnDecomposition:
     means, cms = {}, {}
     for labels, src in placed.items():
         for label, own in zip(labels, src.layout.labels):
-            means[label], cms[label] = moments(
-                stacks[label], partial_trace(src.matrix, src.layout, [own]))
+            means[label], cms[label] = moments(stacks[label], src.marginal_matrix([own]))
 
     def cross(fx: str, fy: str) -> np.ndarray:
-        return _cross_block(stacks[fx], stacks[fy], placed[fx, fy].matrix, means[fx], means[fy])
+        src = placed[fx, fy]
+        return _cross_block(stacks[fx], stacks[fy], src.marginal_matrix(src.layout.labels),
+                            means[fx], means[fy])
 
     t_c, t_a, t_b = _source_parts(nodes, factors, sizes, means, cms, cross)
     return BtnDecomposition(t_c, t_b, t_a, _kron_remainder(factors, cms), sizes, nodes)
@@ -267,7 +268,7 @@ def btn_cm_residual(rho: DensityOperator) -> tuple[np.ndarray, float]:
     nodes, factors, gamma, sizes, stacks, bloch, cms = _triangle_pass(rho)
 
     def cross(fx: str, fy: str) -> np.ndarray:
-        pair = partial_trace(rho.matrix, rho.layout, [fx, fy])
+        pair = rho.marginal_matrix([fx, fy])
         # the marginal keeps layout order; transpose if the pair came out (Y1, X2)
         if rho.layout.index(fx) < rho.layout.index(fy):
             return _cross_block(stacks[fx], stacks[fy], pair, bloch[fx], bloch[fy])
@@ -326,31 +327,60 @@ def criterion_margin(rho: DensityOperator, obs: ObservableSet | None, criterion:
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def visibility_threshold(state_family: Callable[[float], DensityOperator],
-                         observables: ObservableSet | Callable[[DensityOperator], ObservableSet] | None,
+class WhiteNoiseScan:
+    """A criterion's verdict on v*rho + (1 - v)*1/d as a function of the visibility v.
+
+    For trace-norm the moments of ``obs`` on rho and on 1/d are taken once
+    (:func:`~netcm.covariance.white_noise_cm`), so a visibility costs O(n^2)
+    plus the pair trace norms.  The triangle criteria, which take no
+    observables, evaluate each mixture; for a noisy pure state that is a
+    vector and a visibility, not a d x d matrix.
+    """
+
+    def __init__(self, rho: DensityOperator, obs: ObservableSet | None, criterion: str,
+                 topology: NetworkTopology | None = None):
+        self.rho, self.obs, self.criterion, self.topology = rho, obs, criterion, topology
+        if criterion == "trace-norm":
+            if obs is None:
+                raise ValueError("the trace-norm criterion needs an observable set")
+            self.topology = topology or triangle_topology(rho.layout.node_order)
+            self._cm = white_noise_cm(obs, rho)
+
+    def row(self, v: float) -> tuple[float, float, float, bool]:
+        """(lhs, rhs, margin, passed) at visibility v; the triangle criteria report
+        :func:`criterion_margin` as lhs and margin, 0 as rhs."""
+        if self.criterion == "trace-norm":
+            rep = trace_norm_criterion(self._cm(v), self.topology)
+            return rep.lhs, rep.rhs, rep.margin, rep.passed
+        m = criterion_margin(mix_white_noise(self.rho, v), None, self.criterion, self.topology)
+        return m, 0.0, m, m >= 0.0
+
+    def threshold(self, tol: float = 1e-6, lo: float = 0.0, hi: float = 1.0) -> float:
+        """Bisection estimate of the visibility where the margin changes sign.
+
+        The verdict must be monotone on [lo, hi].  Any ``tol`` >= 0
+        terminates: the bisection also stops at adjacent floats.
+        """
+        def margin(v: float) -> float:
+            return self.row(v)[2]
+
+        m_lo, m_hi = margin(lo), margin(hi)
+        if not (m_lo >= 0.0 > m_hi):
+            raise ValueError(
+                f"no pass/fail sign change on [{lo}, {hi}]: margins {m_lo:.3e}, {m_hi:.3e}"
+            )
+        lo, hi = _bisect(margin, lo, hi, tol)
+        return 0.5 * (lo + hi)
+
+
+def visibility_threshold(rho: DensityOperator, observables: ObservableSet | None = None,
                          criterion: str = "trace-norm",
                          topology: NetworkTopology | None = None,
                          tol: float = 1e-6,
                          lo: float = 0.0,
                          hi: float = 1.0) -> float:
-    """Bisection estimate of the visibility where the criterion verdict flips.
-
-    ``state_family`` maps a visibility to a state (typically a white-noise
-    mixture); the verdict must be monotone on [lo, hi].  Any ``tol`` >= 0
-    terminates: the bisection also stops at adjacent floats.
-    """
-    def margin(v: float) -> float:
-        rho = state_family(v)
-        obs = observables(rho) if callable(observables) else observables
-        return criterion_margin(rho, obs, criterion, topology)
-
-    m_lo, m_hi = margin(lo), margin(hi)
-    if not (m_lo >= 0.0 > m_hi):
-        raise ValueError(
-            f"no pass/fail sign change on [{lo}, {hi}]: margins {m_lo:.3e}, {m_hi:.3e}"
-        )
-    lo, hi = _bisect(margin, lo, hi, tol)
-    return 0.5 * (lo + hi)
+    """Visibility where the verdict on v*rho + (1 - v)*1/d flips (:meth:`WhiteNoiseScan.threshold`)."""
+    return WhiteNoiseScan(rho, observables, criterion, topology).threshold(tol, lo, hi)
 
 
 def _bisect(margin: Callable[[float], float], lo: float, hi: float,

@@ -15,8 +15,10 @@ by ||f||^2 turns the extrapolation off when f stagnates at a nonzero gap, as
 it does for an infeasible CM, so there the pair a certificate is read from
 follows plain Dykstra.  Iteration 1 is a plain step from P+(a0), bitwise
 that of plain Dykstra, so a certificate found there is plain Dykstra's.  A
-PSD iterate within the target tol * max(1, max|Gamma_ij|) of the affine
-constraints, relative to the CM's scale, is returned as an explicit witness.
+PSD iterate within the target tol * max|Gamma_ij| of the affine
+constraints, relative to the CM's own scale, is returned as an explicit witness.
+The target scales with the CM at every size, so a verdict does not depend
+on the CM's units beyond rounding.
 
 Infeasibility is proved by a separating hyperplane read off the gap between
 the two iterates.  Let Y be the PSD iterate minus the affine iterate,
@@ -64,7 +66,7 @@ DEFAULT_MAX_ITER = 50000
 # a0 off A by about u ||a0||: all below 1e-9 ||Y|| ||a0|| for stacks of up to
 # 10^6 entries, far beyond what a dense solver handles
 CERT_RTOL = 1e-9
-# a residual plateau below RESIDUAL_FLOOR * max(1, max|Gamma_ij|) is rounding, not
+# a residual plateau below RESIDUAL_FLOOR * max|Gamma_ij| is rounding, not
 # evidence of infeasibility: a feasible CM's residual levels off near 1e-15 of its scale
 RESIDUAL_FLOOR = 1e-12
 # Anderson acceleration (module docstring): (dW, dF) pairs kept, Tikhonov weight per ||f||^2
@@ -146,8 +148,13 @@ class FeasibilityOutcome:
 
 
 def _scale(gamma: BlockCovarianceMatrix) -> float:
-    """max(1, max|Gamma_ij|): the unit of every residual target and floor."""
-    return max(1.0, float(np.abs(gamma.matrix).max(initial=0.0)))
+    """max|Gamma_ij|: the unit of every residual target and floor.
+
+    It is 0 for the all-zero CM, whose one decomposition, zero summands,
+    ``solve`` reaches exactly at iteration 1 (a PSD projection of zeros is
+    zero) and ``verify_witness`` accepts at the target 0.
+    """
+    return float(np.abs(gamma.matrix).max(initial=0.0))
 
 
 def _node_slices(gamma: BlockCovarianceMatrix) -> dict[str, slice]:
@@ -305,14 +312,14 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     """Anderson-accelerated Dykstra projections between the PSD cones and the affine set.
 
     Stops as soon as the PSD iterate satisfies the affine constraints within
-    the target ``tol * max(1, max|Gamma_ij|)`` (status "feasible", the
+    the target ``tol * max|Gamma_ij|`` (status "feasible", the
     iterate is the witness), or as soon as a separating-hyperplane
     certificate verifies (status "infeasible", see the module docstring).
     A CM block above the target between two nodes that no source links is
     "infeasible" at once, with that pair as the certificate.  At
     ``max_iter`` without a certificate the verdict is "infeasible-evidence"
     if the residual plateaued at or above both 10 times the target and the
-    rounding floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12
+    rounding floor ``RESIDUAL_FLOOR * max|Gamma_ij|`` (1e-12
     relative) over the last tenth of the run, else "inconclusive".
 
     Iterations apply the module docstring's map: iteration 1 is plain, later
@@ -387,7 +394,7 @@ def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
 
     Each summand must be PSD, carry the mask's off-diagonal blocks and be
     zero outside its source, and the diagonal blocks must sum to the CM's,
-    all within the target ``tol * max(1, max|Gamma_ij|)`` that ``solve`` stops at.
+    all within the target ``tol * max|Gamma_ij|`` that ``solve`` stops at.
     """
     if len(witness) != len(problem.masks):
         raise ValueError(f"need {len(problem.masks)} summands, got {len(witness)}")

@@ -1,7 +1,19 @@
-"""Density operators: named states, noise mixtures, and network-state assembly."""
+"""Density operators: named states, noise mixtures, and network-state assembly.
+
+A state is held in one of two forms.  Pure-state families (GHZ, W, Dicke,
+cluster, Bell) and their white-noise mixtures are a :class:`NoisyPureState`:
+the unit vector psi and the visibility v of v |psi><psi| + (1 - v) 1/d, whose
+marginals come from the reshaped vector, so a 16-qubit GHZ state needs a
+vector of 2^16 entries, not a 2^16 x 2^16 matrix.  Every other state holds
+its dense matrix.  Criteria read states only through
+:meth:`DensityOperator.marginal_matrix`; the dense matrix of a noisy pure
+state is built when something asks for ``.matrix`` (channels, unitaries,
+permutations, network assembly).
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -71,10 +83,18 @@ class DensityOperator:
     def dim(self) -> int:
         return self.layout.dim
 
+    def marginal_matrix(self, labels: Iterable[str]) -> np.ndarray:
+        """Reduced matrix on the given factors, layout order preserved.
+
+        The one way criteria and CMs read a state; tracing every factor
+        gives ``[[tr rho]]``.
+        """
+        return partial_trace(self.matrix, self.layout, labels)
+
     def marginal(self, labels: Iterable[str]) -> "DensityOperator":
         """Reduced state on the given factors, layout order preserved."""
         labels = list(labels)
-        return DensityOperator(partial_trace(self.matrix, self.layout, labels), self.layout.keep(labels))
+        return DensityOperator(self.marginal_matrix(labels), self.layout.keep(labels))
 
     def node_marginal(self, *nodes: str) -> "DensityOperator":
         labels = [l for x in nodes for l in self.layout.factors_of(x)]
@@ -106,6 +126,51 @@ class DensityOperator:
         labels = list(rho.layout.labels)
         labels[i], labels[j] = labels[j], labels[i]
         return DensityOperator._trusted(rho.matrix, SubsystemLayout(rho.layout.dims, tuple(labels), rho.layout.nodes))
+
+
+class NoisyPureState(DensityOperator):
+    """v |psi><psi| + (1 - v) 1/d, held as the unit vector psi and the visibility v.
+
+    Trusted by construction: ``vector`` must be a unit vector of length
+    ``layout.dim`` and ``visibility`` lie in [0, 1] (:func:`pure_state` and
+    :func:`mix_white_noise` check both).  A real vector is kept real, which
+    halves its memory and makes each marginal one real ``A A^T``.  The
+    complex d x d ``matrix`` is built on first use and kept.
+    """
+
+    def __init__(self, vector: np.ndarray, layout: SubsystemLayout, visibility: float = 1.0):
+        if vector.shape != (layout.dim,):
+            raise ValueError(f"vector shape {vector.shape} does not match layout dimension {layout.dim}")
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "visibility", float(visibility))
+
+    def __repr__(self) -> str:  # the dataclass repr would build the matrix
+        return f"NoisyPureState(visibility={self.visibility!r}, layout={self.layout!r})"
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        v, d = self.visibility, self.dim
+        m = v * np.outer(self.vector, self.vector.conj()) + (1.0 - v) * np.eye(d) / d
+        m = m.astype(complex, copy=False)
+        m.flags.writeable = False
+        return m
+
+    def marginal_matrix(self, labels: Iterable[str]) -> np.ndarray:
+        """v A A^dag + (1 - v) 1/d_S, with A the vector reshaped to (kept, traced) factors."""
+        kept = sorted(self.layout.index(l) for l in set(labels))
+        traced = [i for i in range(len(self.layout.dims)) if i not in kept]
+        d = int(np.prod([self.layout.dims[i] for i in kept]))
+        v = self.visibility
+        noise = (1.0 - v) * np.eye(d) / d
+        if v == 0.0:  # 1/d_S, as the formula gives it, without reading the vector
+            return noise
+        a = self.vector.reshape(self.layout.dims).transpose(kept + traced).reshape(d, -1)
+        return v * (a @ a.conj().T) + noise
+
+    def with_layout(self, layout: SubsystemLayout) -> "NoisyPureState":
+        return NoisyPureState(self.vector, layout, self.visibility)
 
 
 @dataclass(frozen=True)
@@ -162,8 +227,8 @@ def _single_node_layout(parties: int, dim: int) -> SubsystemLayout:
     return SubsystemLayout((dim,) * parties, labels)
 
 
-def pure_state(vector, layout: SubsystemLayout) -> DensityOperator:
-    """Projector onto a (normalized) state vector.
+def pure_state(vector, layout: SubsystemLayout) -> NoisyPureState:
+    """Projector onto a (normalized) state vector, held as the vector.
 
     The vector is checked instead of the projector, which is Hermitian,
     PSD and of trace one by construction.
@@ -177,11 +242,14 @@ def pure_state(vector, layout: SubsystemLayout) -> DensityOperator:
     if not 0.0 < norm < np.inf:
         raise ValueError(f"state vector norm must be positive and finite, got {norm!r}")
     v = v / norm
-    return DensityOperator._trusted(np.outer(v, v.conj()), layout)
+    return NoisyPureState(np.ascontiguousarray(v.real) if not v.imag.any() else v, layout)
 
 
-def maximally_mixed(layout: SubsystemLayout) -> DensityOperator:
-    return DensityOperator(np.eye(layout.dim) / layout.dim, layout)
+def maximally_mixed(layout: SubsystemLayout) -> NoisyPureState:
+    """1/d, as the zero-visibility mixture of a basis vector: no d x d matrix until asked for."""
+    vec = np.zeros(layout.dim)
+    vec[0] = 1.0
+    return NoisyPureState(vec, layout, 0.0)
 
 
 def ghz_state(parties: int, local_dim: int = 2, levels="full") -> DensityOperator:
@@ -255,9 +323,11 @@ def bell_pair(local_dim: int = 2, labels: Sequence[str] = ("1", "2")) -> Density
 
 
 def mix_white_noise(rho: DensityOperator, v: float) -> DensityOperator:
-    """Visibility mixture v*rho + (1-v)*1/dim."""
+    """Visibility mixture v*rho + (1-v)*1/dim; a noisy pure state stays a vector."""
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    if isinstance(rho, NoisyPureState):
+        return NoisyPureState(rho.vector, rho.layout, v * rho.visibility)
     mixed = v * rho.matrix + (1.0 - v) * np.eye(rho.dim) / rho.dim
     return DensityOperator._trusted(mixed, rho.layout)
 

@@ -56,20 +56,16 @@ def announce(number, passed, text):
     assert passed, text
 
 
-def ghz_family(parties):
-    def family(v):
-        return mix_white_noise(ghz_state(parties, 2), v)
-    return family
-
-
-def pauli_z_builder(rho):
-    return named_observable_set("pauli-z", rho.layout)
+def ghz_threshold(parties, topology, tol=1e-6):
+    """Trace-norm visibility threshold of the GHZ state with one sigma_z per party."""
+    rho = ghz_state(parties, 2)
+    return visibility_threshold(rho, named_observable_set("pauli-z", rho.layout), "trace-norm",
+                                topology, tol=tol)
 
 
 def test_acceptance_1_ghz3_threshold():
     start = time.perf_counter()
-    thr = visibility_threshold(ghz_family(3), pauli_z_builder, "trace-norm",
-                               triangle_topology(), tol=1e-6)
+    thr = ghz_threshold(3, triangle_topology())
     elapsed = time.perf_counter() - start
     ok = abs(thr - 0.5) <= 1e-6 and elapsed < 1.0
     announce(1, ok, f"ghz3 trace-norm threshold {thr:.7f} (target 0.5 +- 1e-6), {elapsed:.2f} s")
@@ -77,10 +73,9 @@ def test_acceptance_1_ghz3_threshold():
 
 def test_acceptance_2_w_threshold():
     start = time.perf_counter()
-    thr = visibility_threshold(
-        lambda v: mix_white_noise(w_state(), v),
-        lambda rho: named_observable_set("w-set", rho.layout),
-        "trace-norm", triangle_topology(), tol=1e-6)
+    rho = w_state()
+    thr = visibility_threshold(rho, named_observable_set("w-set", rho.layout),
+                               "trace-norm", triangle_topology(), tol=1e-6)
     elapsed = time.perf_counter() - start
     ok = abs(thr - 0.75) <= 1e-6 and elapsed < 1.0
     announce(2, ok, f"w-state threshold {thr:.7f} (target 0.75 +- 1e-6), {elapsed:.2f} s")
@@ -91,8 +86,7 @@ def test_acceptance_3_ghz_n_thresholds():
     results = {}
     for n in range(3, 7):
         topo = triangle_topology() if n == 3 else line_topology(tuple("ABCDEF"[:n]))
-        results[n] = visibility_threshold(ghz_family(n), pauli_z_builder,
-                                          "trace-norm", topo, tol=1e-6)
+        results[n] = ghz_threshold(n, topo)
     elapsed = time.perf_counter() - start
     ok = all(abs(results[n] - 1.0 / (n - 1)) <= 1e-6 for n in results) and elapsed < 5.0
     detail = ", ".join(f"N={n}: {results[n]:.7f}" for n in results)
@@ -101,13 +95,22 @@ def test_acceptance_3_ghz_n_thresholds():
 
 def test_acceptance_3_ghz_n_thresholds_to_ten_parties():
     start = time.perf_counter()
-    results = {n: visibility_threshold(ghz_family(n), pauli_z_builder, "trace-norm",
-                                       line_topology(tuple("ABCDEFGHIJ"[:n])), tol=1e-6)
-               for n in range(7, 11)}
+    results = {n: ghz_threshold(n, line_topology(tuple("ABCDEFGHIJ"[:n]))) for n in range(7, 11)}
     elapsed = time.perf_counter() - start
     ok = all(abs(results[n] - 1.0 / (n - 1)) <= 1e-6 for n in results) and elapsed < 15.0
     detail = ", ".join(f"N={n}: {results[n]:.7f}" for n in results)
     announce(3, ok, f"ghz_N thresholds match 1/(N-1): {detail}, {elapsed:.2f} s")
+
+
+def test_acceptance_3_ghz_n_thresholds_to_sixteen_parties():
+    # the dense GHZ16 matrix would take 64 GiB; the state is held as its vector
+    start = time.perf_counter()
+    results = {n: ghz_threshold(n, line_topology(tuple("ABCDEFGHIJKLMNOP"[:n])))
+               for n in range(3, 17)}
+    elapsed = time.perf_counter() - start
+    ok = all(abs(results[n] - 1.0 / (n - 1)) <= 1e-5 for n in results) and elapsed < 15.0
+    detail = ", ".join(f"N={n}: {results[n]:.7f}" for n in results)
+    announce(3, ok, f"ghz_N line thresholds match 1/(N-1): {detail}, {elapsed:.2f} s")
 
 
 def _xi_exclusion_pattern(base):

@@ -7,7 +7,7 @@ import pytest
 
 from netcm.cli import main, report_schema
 from netcm.ncmx import write_matrix
-from netcm.states import DensityOperator, ghz_state, mix_white_noise, random_density
+from netcm.states import DensityOperator, NoisyPureState, ghz_state, mix_white_noise, random_density
 
 
 def run(argv):
@@ -181,6 +181,50 @@ class TestScan:
         assert run(["scan", "--state", "w", "--observables", "w-set",
                     "--grid", "nope"]) == 64
 
+    # a huge in-range grid such as 0:1:1e-9 is valid and would allocate
+    # gigabytes, so none is run here
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "0:nan:0.1", "0:1e12:1", "0:2:0.5",
+                                      "-0.5:1:0.5", "0:1:0", "0:1:-0.1", "nan:1:0.1"])
+    def test_grid_outside_the_unit_interval_is_64_before_any_work(self, grid, monkeypatch,
+                                                                   tmp_path, capsys):
+        import netcm.cli
+
+        built = []
+        monkeypatch.setattr(netcm.cli, "state_from_spec", lambda spec: built.append(spec))
+        out = tmp_path / "scan.json"
+        assert run(["scan", "--state", "ghz", "--observables", "pauli-z", f"--grid={grid}",
+                    "--refine", "--output", str(out)]) == 64
+        assert built == []
+        assert not out.exists()
+        assert "bad grid" in capsys.readouterr().err
+
+
+class TestSixteenQubits:
+    """GHZ16 runs from its vector: a dense 2^16 x 2^16 matrix would take 64 GiB."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix was built")
+
+        monkeypatch.setattr(NoisyPureState, "matrix", property(refuse))
+        monkeypatch.setattr(DensityOperator, "_trusted", classmethod(refuse))
+
+    @pytest.mark.parametrize("v, code", [(0.066, 0), (0.0674, 1)])
+    def test_check(self, v, code, capsys):
+        assert run(["check", "--state", "ghz", "--parties", "16", "--visibility", str(v),
+                    "--observables", "pauli-z", "--topology", "line"]) == code
+        report = load_report(capsys)
+        assert report["lhs"] == pytest.approx(16.0, abs=1e-12)
+        assert report["rhs"] == pytest.approx(2 * 120 * v, abs=1e-12)
+
+    def test_scan_refine(self, capsys):
+        assert run(["scan", "--state", "ghz", "--parties", "16", "--observables", "pauli-z",
+                    "--topology", "line", "--grid", "0:1:0.25", "--refine"]) == 0
+        report = load_report(capsys)
+        assert abs(report["refined_threshold"] - 1.0 / 15.0) <= 1e-5
+        assert [row["pass"] for row in report["grid"]] == [True] + [False] * 4
+
 
 class TestDecompose:
     def test_bell_triangle(self, tmp_path, capsys):
@@ -296,12 +340,14 @@ class TestValidatedOnce:
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
         monkeypatch.setattr(DensityOperator, "_trusted", classmethod(
             counting("DensityOperator", DensityOperator._trusted.__func__)))
+        monkeypatch.setattr(NoisyPureState, "__init__",
+                            counting("NoisyPureState", NoisyPureState.__init__))
         spec = json.dumps({"family": "btn", "params": {"sources": [
             {"family": "bell", "params": {"dim": 2}}, {"family": "bell", "params": {"dim": 3}},
             {"family": "bell", "params": {"dim": 2}}]}})
         assert run(["decompose", "--state-json", spec, "--output-dir", str(tmp_path),
                     "--output", str(tmp_path / "manifest.json")]) == 0
-        assert built == ["DensityOperator"] * 3  # the three Bell sources, nothing else
+        assert built == ["NoisyPureState"] * 3  # the three Bell sources, nothing else
 
 
 class TestFeasibility:

@@ -9,6 +9,7 @@ from netcm.covariance import (
     product_state_cm,
     recombine_cm,
     save_cm,
+    white_noise_cm,
 )
 from netcm.linalg import SubsystemLayout, kron
 from netcm.observables import (
@@ -210,6 +211,39 @@ class TestProductStateCm:
         got = product_state_cm([(obs, r), (obs, r)])
         _, g = moments(obs, r)
         assert np.abs(got.matrix - np.kron(g, g).real).max() <= 1e-12
+
+
+class TestWhiteNoiseCm:
+    """The CM from the two endpoint moment sets against the CM of the dense mixture."""
+
+    @staticmethod
+    def dense_mixture(rho, v):
+        # a validated dense state: its marginals come from linalg.partial_trace
+        return DensityOperator(mix_white_noise(rho, v).matrix, rho.layout)
+
+    @pytest.mark.parametrize("state, name", [(ghz_state(4, 2), "pauli-z"), (w_state(), "w-set"),
+                                             (cluster4_state(), "cluster-set")])
+    def test_matches_dense_mixture(self, state, name):
+        obs = named_observable_set(name, state.layout)
+        cm_at = white_noise_cm(obs, state)
+        for v in np.linspace(0.0, 1.0, 21):
+            got, want = cm_at(v), covariance_matrix(obs, self.dense_mixture(state, v))
+            assert (got.block_sizes, got.node_labels) == (want.block_sizes, want.node_labels)
+            assert np.abs(got.matrix - want.matrix).max() <= 1e-12, v
+
+    def test_dense_state(self, rng):
+        rho = btn_assemble(*[random_source(2, rng) for _ in range(3)])
+        obs = full_product_set(rho.layout)
+        cm_at = white_noise_cm(obs, rho)
+        for v in (0.0, 0.37, 1.0):
+            want = covariance_matrix(obs, self.dense_mixture(rho, v))
+            assert np.abs(cm_at(v).matrix - want.matrix).max() <= 1e-12
+
+    def test_endpoints_are_the_plain_cms(self):
+        rho = mix_white_noise(ghz_state(5, 2), 0.8)
+        obs = named_observable_set("pauli-z", rho.layout)
+        assert np.array_equal(white_noise_cm(obs, rho)(1.0).matrix,
+                              covariance_matrix(obs, rho).matrix)
 
 
 class TestConcavity:

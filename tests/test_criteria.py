@@ -213,19 +213,16 @@ def test_trace_norm_holds_on_networks_with_three_node_sources(rng):
 
 class TestVisibilityThreshold:
     def test_ghz3(self):
-        thr = visibility_threshold(
-            lambda v: mix_white_noise(ghz_state(3, 2), v),
-            lambda rho: named_observable_set("pauli-z", rho.layout),
-            "trace-norm", triangle_topology(), tol=1e-6)
+        rho = ghz_state(3, 2)
+        thr = visibility_threshold(rho, named_observable_set("pauli-z", rho.layout),
+                                   "trace-norm", triangle_topology(), tol=1e-6)
         assert thr == pytest.approx(0.5, abs=1e-6)
 
     def test_no_sign_change_raises(self):
         layout = ghz_state(3, 2).layout
         with pytest.raises(ValueError, match="sign change"):
-            visibility_threshold(
-                lambda v: mix_white_noise(maximally_mixed(layout), v),
-                lambda rho: named_observable_set("pauli-z", rho.layout),
-                "trace-norm", triangle_topology())
+            visibility_threshold(maximally_mixed(layout), named_observable_set("pauli-z", layout),
+                                 "trace-norm", triangle_topology())
 
 
 class TestTrianglePass:

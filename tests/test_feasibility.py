@@ -57,12 +57,44 @@ def btn_problem(rng):
     return FeasibilityProblem(g, triangle_topology()), srcs, obs
 
 
+def scaled_problem(prob, scale):
+    g = prob.gamma
+    return FeasibilityProblem(
+        BlockCovarianceMatrix(scale * g.matrix, g.block_sizes, g.node_labels), prob.topology)
+
+
 class TestSolve:
     def test_zero_matrix(self):
         g = BlockCovarianceMatrix(np.zeros((3, 3)), (1, 1, 1), ("A", "B", "C"))
         out = solve(FeasibilityProblem(g, triangle_topology()))
         assert out.status == "feasible"
         assert all(np.abs(t).max() <= 1e-12 for t in out.witness)
+
+    def test_zero_matrix_has_the_exact_zero_witness(self):
+        # the unit max|Gamma_ij| is 0, so the target is 0: only exact zeros meet it
+        prob = FeasibilityProblem(BlockCovarianceMatrix(np.zeros((3, 3)), (1, 1, 1),
+                                                        ("A", "B", "C")), triangle_topology())
+        out = solve(prob)
+        assert (out.status, out.iterations, out.residual) == ("feasible", 1, 0.0)
+        assert all(not t.any() for t in out.witness)
+        assert verify_witness(prob, out.witness)
+        assert not verify_witness(prob, [t + 1e-300 * np.eye(3) for t in out.witness])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-8])
+    def test_small_violating_cm_stays_infeasible(self, scale):
+        # the residual target is relative at every scale: shrinking a CM the
+        # trace-norm criterion excludes must not make it feasible
+        prob = scaled_problem(ghz_problem(0.8), scale)
+        out = solve(prob)
+        assert out.status == "infeasible"
+        assert verify_certificate(prob, out.certificate)
+
+    def test_small_btn_cm_feasible(self, rng):
+        prob = scaled_problem(btn_problem(rng)[0], 1e-8)
+        out = solve(prob)
+        assert out.status == "feasible"
+        assert out.residual <= 1e-7 * np.abs(prob.gamma.matrix).max()
+        assert verify_witness(prob, out.witness)
 
     def test_btn_cm_feasible_with_verified_witness(self, rng):
         prob, _, _ = btn_problem(rng)

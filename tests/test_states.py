@@ -1,14 +1,15 @@
 import warnings
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
-from netcm.linalg import SubsystemLayout, kron
+from netcm.linalg import SubsystemLayout, kron, partial_trace
 from netcm.observables import PAULI_X, PAULI_Z, embed, Observable
 from netcm.states import (
     DensityOperator,
     KrausChannel,
+    NoisyPureState,
     apply_local_channels,
     apply_local_unitaries,
     bell_pair,
@@ -155,6 +156,67 @@ class TestWhiteNoise:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             mix_white_noise(ghz_state(3, 2), 1.5)
+
+
+class TestNoisyPureState:
+    """Pure states and their white-noise mixtures are held as a vector and a visibility."""
+
+    @staticmethod
+    def random_state(rng, dims, labels, nodes=()):
+        vec = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+        return pure_state(vec, SubsystemLayout(dims, labels, nodes)), vec / np.linalg.norm(vec)
+
+    @pytest.mark.parametrize("v", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("layout", ["uneven", "split"])
+    def test_marginals_match_dense_partial_trace(self, rng, layout, v):
+        if layout == "uneven":
+            rho, psi = self.random_state(rng, (2, 3, 2), ("A", "B", "C"))
+        else:  # three ququart nodes, each split into two qubit factors
+            base, psi = self.random_state(rng, (4, 4, 4), ("A", "B", "C"))
+            rho = split_nodes(base, (2, 2))
+        d = rho.dim
+        # the dense mixture, built here from the vector, and the dense partial trace
+        dense = v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(d) / d
+        mixed = mix_white_noise(rho, v)
+        labels = rho.layout.labels
+        for keep in [c for k in (1, 2) for c in combinations(labels, k)]:
+            got = mixed.marginal_matrix(keep)
+            want = partial_trace(dense, rho.layout, keep)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13, keep
+        assert "matrix" not in vars(mixed)
+
+    def test_mixing_keeps_the_vector(self):
+        rho = ghz_state(16)
+        mixed = mix_white_noise(mix_white_noise(rho, 0.5), 0.4)
+        assert isinstance(mixed, NoisyPureState)
+        assert mixed.vector is rho.vector
+        assert mixed.visibility == 0.5 * 0.4
+        assert mixed.marginal_matrix(["A", "P"]) == pytest.approx(
+            0.2 * np.diag([0.5, 0, 0, 0.5]) + 0.8 * np.eye(4) / 4, abs=1e-15)
+        assert "matrix" not in vars(mixed) and "matrix" not in repr(mixed)
+
+    def test_real_vectors_stay_real_and_the_matrix_is_complex(self, rng):
+        assert ghz_state(3).vector.dtype == float
+        rho, _ = self.random_state(rng, (2, 2), ("A", "B"))
+        assert rho.vector.dtype == complex
+        for state in (ghz_state(3), rho, maximally_mixed(rho.layout)):
+            assert state.matrix.dtype == complex
+            assert not state.matrix.flags.writeable
+
+    def test_vector_is_read_only(self):
+        with pytest.raises(ValueError):
+            ghz_state(3).vector[0] = 2.0
+
+    def test_maximally_mixed_needs_no_matrix(self):
+        rho = maximally_mixed(ghz_state(16).layout)
+        assert np.array_equal(rho.marginal_matrix(["C", "F"]), np.eye(4) / 4)
+        assert "matrix" not in vars(rho)
+
+    def test_with_layout_keeps_the_vector(self):
+        rho = split_nodes(mix_white_noise(ghz_state(3, 4), 0.3), (2, 2))
+        assert isinstance(rho, NoisyPureState) and rho.visibility == 0.3
+        assert rho.layout.dims == (2,) * 6
 
 
 class TestBtnAssemble:

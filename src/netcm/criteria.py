@@ -339,7 +339,7 @@ class WhiteNoiseScan:
 
     def __init__(self, rho: DensityOperator, obs: ObservableSet | None, criterion: str,
                  topology: NetworkTopology | None = None):
-        self.rho, self.obs, self.criterion, self.topology = rho, obs, criterion, topology
+        self.rho, self.criterion, self.topology = rho, criterion, topology
         if criterion == "trace-norm":
             if obs is None:
                 raise ValueError("the trace-norm criterion needs an observable set")

@@ -5,24 +5,33 @@ Prints, for each state and white-noise weight, the minimal eigenvalue of the
 xi matrix (full product basis minus the Kronecker remainder, 2x2 node split)
 and whether the state is excluded from the basic triangle scenario.  Writes
 a CSV when an output path is given.  Exits 1 when the closed-form residual
-of the pure Dicke k = 1 state misses its known value 2/3 by more than 1e-9.
+of the pure Dicke k = 1 state misses its known value 2/3 by more than 1e-9,
+or when a visibility-scan row (``WhiteNoiseScan``, served from the moments
+of the state and of 1/d) disagrees with the report on that weight's mixed
+state: a different pass flag, or an lhs off lhs + tolerance by over 1e-12.
 """
 
 import argparse
 import sys
 
-from netcm.criteria import btn_cm_residual, xi_report
+from netcm.criteria import WhiteNoiseScan, btn_cm_residual, xi_report
 from netcm.states import dicke_state, ghz_state, mix_white_noise, split_nodes
 
 DICKE_ONE_RESIDUAL = 2.0 / 3.0  # max-abs closed-form residual of the pure k = 1 state
 RESIDUAL_TOL = 1e-9
+SCAN_TOL = 1e-12  # scan-row lhs against xi_report lhs + tolerance
 
 
-def scan(base, label, weights, rows):
+def scan(base, label, weights, rows, misses):
+    scan_path = WhiteNoiseScan(split_nodes(base, (2, 2)), None, "xi-psd")
     for p in weights:
         rho = split_nodes(mix_white_noise(base, p), (2, 2))
         rep = xi_report(rho)
         rows.append((label, p, rep.lhs, not rep.passed))
+        lhs, _, _, passed = scan_path.row(p)
+        if passed != rep.passed or abs(lhs - (rep.lhs + rep.tolerance)) > SCAN_TOL:
+            misses.append(f"{label} p={p}: scan row lhs {lhs!r} pass {passed}, xi_report "
+                          f"lhs + tolerance {rep.lhs + rep.tolerance!r} pass {rep.passed}")
 
 
 def main(argv=None):
@@ -33,11 +42,11 @@ def main(argv=None):
 
     count = int(round(1.0 / args.step))
     weights = [round(args.step * i, 10) for i in range(count + 1)]
-    rows = []
-    scan(ghz_state(3, 4, (0, 3)), "ghz4(0,3)", weights, rows)
-    scan(ghz_state(3, 4, "full"), "ghz4(full)", weights, rows)
+    rows, misses = [], []
+    scan(ghz_state(3, 4, (0, 3)), "ghz4(0,3)", weights, rows, misses)
+    scan(ghz_state(3, 4, "full"), "ghz4(full)", weights, rows, misses)
     for k in range(1, 10):
-        scan(dicke_state(k), f"dicke k={k}", weights, rows)
+        scan(dicke_state(k), f"dicke k={k}", weights, rows, misses)
 
     if args.output:
         with open(args.output, "w") as fh:
@@ -60,10 +69,10 @@ def main(argv=None):
     print(f"\npure dicke k=1: closed-form residual max-abs = {residual:.6f} "
           f"(nonzero certifies non-triangle)")
     if abs(residual - DICKE_ONE_RESIDUAL) > RESIDUAL_TOL:
-        print(f"MISS: residual {residual!r} is not {DICKE_ONE_RESIDUAL!r} "
-              f"within {RESIDUAL_TOL}", file=sys.stderr)
-        return 1
-    return 0
+        misses.append(f"residual {residual!r} is not {DICKE_ONE_RESIDUAL!r} within {RESIDUAL_TOL}")
+    for miss in misses:
+        print(f"MISS: {miss}", file=sys.stderr)
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .covariance import (
     product_state_cm,
     recombine_cm,
     save_cm,
-    white_noise_cm,
 )
 from .topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
 from .criteria import (

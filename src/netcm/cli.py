@@ -1,8 +1,8 @@
 """Command-line front end: parse specs, run criteria, emit reports.
 
 Exit codes: 0 criterion satisfied / decomposition feasible, 1 violated /
-infeasible / infeasible-evidence, 2 inconclusive, 64 malformed spec, usage
-or non-finite input, 74 file I/O failure.  Reports are JSON (or CSV for
+infeasible (with a verified certificate), 2 inconclusive, 64 malformed spec,
+usage or non-finite input, 74 file I/O failure.  Reports are JSON (or CSV for
 scans), written atomically, byte-identical for identical inputs.
 """
 
@@ -264,8 +264,7 @@ def report_schema() -> str:
                 "required": ["schema_version", "status", "residual", "iterations"],
                 "properties": {
                     "schema_version": {"const": SCHEMA_VERSION},
-                    "status": {"enum": ["feasible", "infeasible", "infeasible-evidence",
-                                        "inconclusive"]},
+                    "status": {"enum": ["feasible", "infeasible", "inconclusive"]},
                     "residual": {"type": "number"},
                     "iterations": {"type": "number"},
                     "certificate": {"$ref": "#/definitions/certificate"},
@@ -445,13 +444,12 @@ def cmd_feasibility(args) -> int:
         "state_spec": state_spec,
         "observables_spec": obs_name,
         "topology": topology_to_spec(topo),
-        "note": ("infeasible-evidence is not a certificate; an infeasible verdict "
-                 "carries one, checkable with verify_certificate"),
+        "note": "the residual is not a certificate; an infeasible verdict carries a verified one",
     })
     _emit_json(args.output, payload)
     if outcome.status == "feasible":
         return EXIT_PASS
-    if outcome.status in ("infeasible", "infeasible-evidence"):
+    if outcome.status == "infeasible":
         return EXIT_FAIL
     return EXIT_INCONCLUSIVE
 

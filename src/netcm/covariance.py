@@ -2,9 +2,13 @@
 
 Entries follow the symmetrized convention Re<O_m O_n> - <O_m><O_n>; for
 observables on different nodes the supports commute and this is the plain
-second moment minus the product of means.  Blocks are computed on node and
-node-pair marginals, never on the global state, which keeps full product
-bases cheap.
+second moment minus the product of means.  One kernel,
+:func:`_stacked_moments`, reads a state for every CM and every criterion:
+the means and raw second moments of per-node operator stacks, taken on the
+marginals of each stack's factors and of each pair of stacks, never on the
+global state, which keeps full product bases cheap.  Its diagonal blocks
+stay complex for the triangle criteria; :func:`_centred` makes the CM, and
+:func:`white_noise_moments` serves visibility scans from two moment sets.
 """
 
 from __future__ import annotations
@@ -101,90 +105,77 @@ def _cross_second(stack_x, stack_y, rho_xy) -> np.ndarray:
     return np.einsum("mik,nki->mn", stack_x, t).real
 
 
-def _cross_block(stack_x, stack_y, rho_xy, means_x, means_y) -> np.ndarray:
-    return _cross_second(stack_x, stack_y, rho_xy) - np.outer(means_x, means_y)
-
-
-def _node_stacks(obs: ObservableSet, layout) -> dict[str, np.ndarray]:
-    """Each node's observables as one stack of operators on the whole node."""
+def _node_stacks(obs: ObservableSet, layout) -> dict[str, tuple[tuple[str, ...], np.ndarray]]:
+    """Each node's factors and its observables as one stack of operators on the whole node."""
     unknown = set(obs.node_order) - set(layout.node_order)
     if unknown:
         raise KeyError(f"observables on unknown nodes {sorted(unknown)}; "
                        f"state has {layout.node_order}")
     stacks = {}
     for x in obs.node_order:
-        dx = layout.node_dim(x)
+        dx, factors = layout.node_dim(x), layout.factors_of(x)
         # an observable on part of a node is padded to the whole node
-        stacks[x] = np.stack([o.matrix if o.factor_support is None and o.matrix.shape[0] == dx
-                              else embed(o, layout.keep(layout.factors_of(x)))
-                              for o in obs.node_observables(x)])
+        stacks[x] = (factors, np.stack([
+            o.matrix if o.factor_support is None and o.matrix.shape[0] == dx
+            else embed(o, layout.keep(factors)) for o in obs.node_observables(x)]))
     return stacks
 
 
-def _block_cm(stacks: Mapping[str, np.ndarray], full: np.ndarray) -> BlockCovarianceMatrix:
-    return BlockCovarianceMatrix(full, tuple(len(s) for s in stacks.values()), tuple(stacks))
+def _block_cm(stacks: Mapping, full: np.ndarray) -> BlockCovarianceMatrix:
+    return BlockCovarianceMatrix(full, tuple(len(s) for _, s in stacks.values()), tuple(stacks))
 
 
 def covariance_matrix(obs: ObservableSet, rho: DensityOperator) -> BlockCovarianceMatrix:
     """Covariance matrix of local observables, with node-indexed block structure."""
     stacks = _node_stacks(obs, rho.layout)
-    return _block_cm(stacks, stacked_covariance(stacks, rho))
+    return _block_cm(stacks, _centred(*_stacked_moments(stacks, rho)))
 
 
-def white_noise_cm(obs: ObservableSet, rho: DensityOperator) -> Callable[[float], BlockCovarianceMatrix]:
-    """The CM of v*rho + (1 - v)*1/d as a function of the visibility v.
+def _stacked_moments(stacks: Mapping, rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Means and raw second moments <O_m O_n> of operator stacks, in mapping order.
 
-    Means and second moments are linear in the state, so the means a and
-    second moments M of rho and of 1/d are computed once, and the CM at v is
-    v M(rho) + (1 - v) M(1/d) - a(v) a(v)^T with a(v) = v a(rho) + (1 - v) a(1/d):
-    O(n^2) per visibility, no marginal taken again.
+    ``stacks[k]`` is ``(labels, stack)``: Hermitian operators on the
+    contiguous factors ``labels`` of ``rho`` (whatever their node grouping),
+    trusted as given.  Blocks come from the marginals on each stack's and
+    each pair of stacks' factors.  A diagonal block keeps the complex
+    <O_m O_n>, whose imaginary part holds same-factor commutators; a block
+    between two stacks is Re <X_m Y_n>.  :func:`_centred` makes the CM.
     """
-    stacks = _node_stacks(obs, rho.layout)
-    (a1, m1), (a0, m0) = (_stacked_moments(stacks, r) for r in (rho, maximally_mixed(rho.layout)))
-    return lambda v: _block_cm(stacks, _centred(v * a1 + (1.0 - v) * a0, v * m1 + (1.0 - v) * m0))
-
-
-def _stacked_moments(stacks: Mapping[str, np.ndarray],
-                    rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Means and real second moments Re<O_m O_n> of per-node operator stacks, in mapping order.
-
-    ``stacks[x]`` is an ``(n_x, d_x, d_x)`` stack of Hermitian operators on
-    the whole of node x; they are trusted as given.  Blocks come from node
-    and node-pair marginals of ``rho``.  The second moments are not yet
-    symmetrized (see :func:`stacked_covariance`).
-    """
-    layout = rho.layout
-    nodes = tuple(stacks)
-    factors = {x: layout.factors_of(x) for x in nodes}
+    items = list(stacks.values())
+    offsets = np.concatenate([[0], np.cumsum([len(s) for _, s in items])])
+    span = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     means = []
-    offsets = np.concatenate([[0], np.cumsum([len(stacks[x]) for x in nodes])])
-    second = np.zeros((offsets[-1], offsets[-1]))
-    for i, x in enumerate(nodes):
-        a, blk = _raw_moments(stacks[x], rho.marginal_matrix(factors[x]))
+    second = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    for i, (fx, sx) in enumerate(items):
+        a, second[span[i], span[i]] = _raw_moments(sx, rho.marginal_matrix(fx))
         means.append(a)
-        second[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = blk.real
-    for i, x in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            y = nodes[j]
-            pair = rho.marginal_matrix(factors[x] + factors[y])
-            # the marginal keeps the state's factor order, which may put y first
-            if layout.index(factors[x][0]) < layout.index(factors[y][0]):
-                blk = _cross_second(stacks[x], stacks[y], pair)
+        for j in range(i):
+            fy, sy = items[j]
+            pair = rho.marginal_matrix(fy + fx)
+            # the marginal keeps the state's factor order, which may put x first
+            if rho.layout.index(fy[0]) < rho.layout.index(fx[0]):
+                blk = _cross_second(sy, sx, pair)
             else:
-                blk = _cross_second(stacks[y], stacks[x], pair).T
-            second[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
-            second[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
+                blk = _cross_second(sx, sy, pair).T
+            second[span[j], span[i]] = blk
+            second[span[i], span[j]] = blk.T
     return np.concatenate(means), second
 
 
 def _centred(means: np.ndarray, second: np.ndarray) -> np.ndarray:
-    full = second - np.outer(means, means)
+    """The symmetrized CM Re <O_m O_n> - <O_m><O_n> from :func:`_stacked_moments`."""
+    full = second.real - np.outer(means, means)
     return 0.5 * (full + full.T)
 
 
-def stacked_covariance(stacks: Mapping[str, np.ndarray], rho: DensityOperator) -> np.ndarray:
-    """Symmetrized CM of per-node operator stacks (see :func:`_stacked_moments`)."""
-    return _centred(*_stacked_moments(stacks, rho))
+def white_noise_moments(stacks: Mapping, rho: DensityOperator) -> Callable[[float], tuple]:
+    """The moments (:func:`_stacked_moments`) of v*rho + (1 - v)*1/d as a function of v.
+
+    Both are linear in the state, so those of rho and of 1/d are taken once
+    and a visibility costs O(n^2), with no marginal taken again.
+    """
+    (a1, m1), (a0, m0) = (_stacked_moments(stacks, r) for r in (rho, maximally_mixed(rho.layout)))
+    return lambda v: (v * a1 + (1.0 - v) * a0, v * m1 + (1.0 - v) * m0)
 
 
 def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],

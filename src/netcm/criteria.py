@@ -18,7 +18,10 @@ or NCDS) network with bipartite/local sources and local channels:
 
 The first two take no observables: they are stated on the layout's full
 product basis, each split node's lexicographic products of its two factors'
-:func:`~netcm.observables.orthogonal_basis` elements.
+:func:`~netcm.observables.orthogonal_basis` elements.  One kernel call on
+that basis gives the full-product CM, and the factor means and CMs and
+the source cross CMs are indexed out of it; visibility scans mix its
+output on rho and on 1/d (``WhiteNoiseScan``).
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .covariance import (BlockCovarianceMatrix, _cross_block, covariance_matrix, moments,
-                         stacked_covariance, white_noise_cm)
+from .covariance import (BlockCovarianceMatrix, _block_cm, _centred, _node_stacks, _stacked_moments,
+                         white_noise_moments)
 from .linalg import SubsystemLayout, psd_margin, trace_norm
 from .observables import ObservableSet, orthogonal_basis, product_stack
-from .states import DensityOperator, mix_white_noise, triangle_layout
+from .states import DensityOperator, triangle_layout
 from .topology import NetworkTopology, triangle_topology
 
 __all__ = [
@@ -120,36 +123,33 @@ def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology
 _TRIANGLE_WIRING = ((0, 1), (1, 2), (2, 0))  # node-index pairs (X, Y) with span (X2, Y1)
 
 
-def _factor_stacks(layout: SubsystemLayout) -> dict[str, np.ndarray]:
-    """The :func:`orthogonal_basis` of every factor of ``layout``, as a stack."""
-    return {l: np.stack(list(orthogonal_basis(d))) for l, d in zip(layout.labels, layout.dims)}
+def _factor_moments(rows, means: np.ndarray, second: np.ndarray) -> tuple[dict, dict]:
+    """Means and complex CMs of every factor, indexed out of the kernel's moments."""
+    a = {l: means[r] for l, r in rows.items()}
+    return a, {l: second[np.ix_(r, r)] - np.outer(a[l], a[l]) for l, r in rows.items()}
 
 
-def _triangle_pass(rho: DensityOperator):
-    """The data the triangle criteria share, each piece computed once.
+def _triangle_stacks(layout: SubsystemLayout):
+    """Kernel stacks of each node's full product basis, and each factor's rows in their moments.
 
-    Checks that the layout has three nodes of two factors each.  Returns the
-    node order, each node's two factors, the CM of the layout's full product
-    basis (each node's stack the lexicographic products of its two factor
-    stacks), its block sizes, and the means and complex CM of every
-    single-factor marginal.
+    Checks that the layout has three nodes of two factors each.  The bases
+    put the identity first, so with basis sizes n1, n2 element a of a node's
+    first factor is the product at row a * n2 and element b of its second
+    the one at row b, offset to the node.
     """
-    layout = rho.layout
     nodes = layout.node_order
     if len(nodes) != 3:
         raise ValueError(f"triangle criteria need exactly three nodes, layout has {len(nodes)}")
-    factors = {x: layout.factors_of(x) for x in nodes}
-    for x, f in factors.items():
+    stacks, rows, start = {}, {}, 0
+    for x in nodes:
+        f = layout.factors_of(x)
         if len(f) != 2:
             raise ValueError(f"node {x!r} must consist of two factors, has {f}")
-    stacks = _factor_stacks(layout)
-    node_stacks = {x: product_stack([stacks[f] for f in factors[x]]) for x in nodes}
-    gamma = stacked_covariance(node_stacks, rho)
-    sizes = tuple(len(s) for s in node_stacks.values())
-    means, cms = {}, {}
-    for l in layout.labels:
-        means[l], cms[l] = moments(stacks[l], rho.marginal_matrix([l]))
-    return nodes, factors, gamma, sizes, stacks, means, cms
+        b1, b2 = (np.stack(list(orthogonal_basis(layout.dims[layout.index(l)]))) for l in f)
+        stacks[x] = (f, product_stack([b1, b2]))
+        rows[f[0]], rows[f[1]] = start + len(b2) * np.arange(len(b1)), start + np.arange(len(b2))
+        start += len(b1) * len(b2)
+    return stacks, rows
 
 
 def _kron_remainder(factors: Mapping[str, tuple[str, str]],
@@ -191,7 +191,7 @@ class BtnDecomposition:
         return self.t_c + self.t_b + self.t_a + self.r
 
 
-def _source_parts(nodes, factors, sizes, means, cms,
+def _source_parts(factors: Mapping[str, tuple[str, str]], means, cms,
                   cross: Callable[[str, str], np.ndarray]) -> list[np.ndarray]:
     """Padded source summands, one per wiring (X, Y) in ``_TRIANGLE_WIRING``.
 
@@ -200,6 +200,8 @@ def _source_parts(nodes, factors, sizes, means, cms,
     node X, Re Gamma_Y1 x |b_Y2><b_Y2| on node Y, and a_X1 x C x b_Y2
     between them, with C = ``cross(X2, Y1)`` the source's cross CM.
     """
+    nodes = tuple(factors)
+    sizes = [len(means[f1]) * len(means[f2]) for f1, f2 in factors.values()]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
     parts = []
@@ -222,36 +224,45 @@ def btn_decompose(sources: Sequence[DensityOperator]) -> BtnDecomposition:
     """Source decomposition of the full-product CM of a triangle state, from source marginals.
 
     ``sources`` are the three bipartite source states (a, b, c) placed on
-    (B2, C1), (C2, A1) and (A2, B1).  The source summands, CMs of reduced
-    observables, come from each source's marginals alone
-    (:func:`_source_parts`), and the remainder is the Kronecker product of
+    (B2, C1), (C2, A1) and (A2, B1).  One kernel call per source, on its two
+    factors whatever its node grouping, gives the summands' inputs
+    (:func:`_source_parts`); the remainder is the Kronecker product of
     single-factor marginal CMs.
     """
-    rho_a, rho_b, rho_c = sources
     for name, src in zip("abc", sources):
         if len(src.layout.dims) != 2 or src.layout.dims[0] != src.layout.dims[1]:
             raise ValueError(f"source {name} must be bipartite d x d, has dims {src.layout.dims}")
-    da, db, dc = (s.layout.dims[0] for s in sources)
-    layout = triangle_layout({"a": da, "b": db, "c": dc})
-    nodes = layout.node_order  # (A, B, C)
-    stacks = _factor_stacks(layout)
-    factors = {x: layout.factors_of(x) for x in nodes}
-    sizes = tuple(len(stacks[f1]) * len(stacks[f2]) for f1, f2 in factors.values())
+    layout = triangle_layout({name: src.layout.dims[0] for name, src in zip("abc", sources)})
+    factors = {x: layout.factors_of(x) for x in layout.node_order}  # (A, B, C)
 
     # each source is ordered (X2, Y1), as its wiring spans it
-    placed = {("B2", "C1"): rho_a, ("C2", "A1"): rho_b, ("A2", "B1"): rho_c}
-    means, cms = {}, {}
-    for labels, src in placed.items():
-        for label, own in zip(labels, src.layout.labels):
-            means[label], cms[label] = moments(stacks[label], src.marginal_matrix([own]))
+    means, cms, cross = {}, {}, {}
+    for placed, src in zip((("B2", "C1"), ("C2", "A1"), ("A2", "B1")), sources):
+        basis = np.stack(list(orthogonal_basis(src.layout.dims[0])))
+        n = len(basis)
+        a, second = _stacked_moments({p: ((l,), basis) for p, l in zip(placed, src.layout.labels)}, src)
+        m, c = _factor_moments({placed[0]: np.arange(n), placed[1]: n + np.arange(n)}, a, second)
+        means.update(m)
+        cms.update(c)
+        cross[placed] = _centred(a, second)[:n, n:]
 
-    def cross(fx: str, fy: str) -> np.ndarray:
-        src = placed[fx, fy]
-        return _cross_block(stacks[fx], stacks[fy], src.marginal_matrix(src.layout.labels),
-                            means[fx], means[fy])
+    t_c, t_a, t_b = _source_parts(factors, means, cms, lambda fx, fy: cross[fx, fy])
+    sizes = tuple(len(means[f1]) * len(means[f2]) for f1, f2 in factors.values())
+    return BtnDecomposition(t_c, t_b, t_a, _kron_remainder(factors, cms), sizes, tuple(factors))
 
-    t_c, t_a, t_b = _source_parts(nodes, factors, sizes, means, cms, cross)
-    return BtnDecomposition(t_c, t_b, t_a, _kron_remainder(factors, cms), sizes, nodes)
+
+def _xi(stacks, rows, means: np.ndarray, second: np.ndarray):
+    """:func:`xi_matrix` from the full product moments, with its factors, factor means and CMs."""
+    factors = {x: f for x, (f, _) in stacks.items()}
+    a, cms = _factor_moments(rows, means, second)
+    return _centred(means, second) - _kron_remainder(factors, cms), factors, a, cms
+
+
+def _residual(stacks, rows, means: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """:func:`btn_cm_residual` from the full product moments: xi minus the source summands,
+    whose cross CMs are xi's cross blocks (the remainder is block diagonal)."""
+    xi, factors, a, cms = _xi(stacks, rows, means, second)
+    return xi - sum(_source_parts(factors, a, cms, lambda fx, fy: xi[np.ix_(rows[fx], rows[fy])]))
 
 
 def btn_cm_residual(rho: DensityOperator) -> tuple[np.ndarray, float]:
@@ -265,17 +276,8 @@ def btn_cm_residual(rho: DensityOperator) -> tuple[np.ndarray, float]:
 
     Returns the residual matrix and its max-abs entry.
     """
-    nodes, factors, gamma, sizes, stacks, bloch, cms = _triangle_pass(rho)
-
-    def cross(fx: str, fy: str) -> np.ndarray:
-        pair = rho.marginal_matrix([fx, fy])
-        # the marginal keeps layout order; transpose if the pair came out (Y1, X2)
-        if rho.layout.index(fx) < rho.layout.index(fy):
-            return _cross_block(stacks[fx], stacks[fy], pair, bloch[fx], bloch[fy])
-        return _cross_block(stacks[fy], stacks[fx], pair, bloch[fy], bloch[fx]).T
-
-    t_ab, t_bc, t_ca = _source_parts(nodes, factors, sizes, bloch, cms, cross)
-    residual = gamma - (t_ab + t_bc + t_ca + _kron_remainder(factors, cms))
+    stacks, rows = _triangle_stacks(rho.layout)
+    residual = _residual(stacks, rows, *_stacked_moments(stacks, rho))
     return residual, float(np.abs(residual).max())
 
 
@@ -286,15 +288,23 @@ def xi_matrix(rho: DensityOperator) -> np.ndarray:
     result is PSD for every state assembled from three bipartite sources;
     a negative eigenvalue certifies incompatibility.
     """
-    _, factors, gamma, _, _, _, cms = _triangle_pass(rho)
-    return gamma - _kron_remainder(factors, cms)
+    stacks, rows = _triangle_stacks(rho.layout)
+    return _xi(stacks, rows, *_stacked_moments(stacks, rho))[0]
+
+
+def _xi_verdict(xi: np.ndarray) -> CriterionReport:
+    low, tol = psd_margin(xi)
+    return CriterionReport.from_values("xi-psd", low, 0.0, tol, {"min_eigenvalue": low})
 
 
 def xi_report(rho: DensityOperator) -> CriterionReport:
     """PSD verdict on the xi matrix; lhs is its minimal eigenvalue."""
-    xi = xi_matrix(rho)
-    low, tol = psd_margin(xi)
-    return CriterionReport.from_values("xi-psd", low, 0.0, tol, {"min_eigenvalue": low})
+    return _xi_verdict(xi_matrix(rho))
+
+
+def _residual_verdict(residual: np.ndarray, threshold: float = 1e-9) -> CriterionReport:
+    worst = float(np.abs(residual).max())
+    return CriterionReport.from_values("btn-residual", threshold, worst, 0.0, {"max_abs_residual": worst})
 
 
 def btn_residual_report(rho: DensityOperator, threshold: float = 1e-9) -> CriterionReport:
@@ -302,57 +312,46 @@ def btn_residual_report(rho: DensityOperator, threshold: float = 1e-9) -> Criter
 
     lhs is the allowed residual, rhs the observed max-abs residual.
     """
-    _, residual = btn_cm_residual(rho)
-    return CriterionReport.from_values(
-        "btn-residual", threshold, residual, 0.0, {"max_abs_residual": residual}
-    )
+    return _residual_verdict(btn_cm_residual(rho)[0], threshold)
 
 
 # -- visibility scans ---------------------------------------------------------
 
 
-def criterion_margin(rho: DensityOperator, obs: ObservableSet | None, criterion: str,
-                     topology: NetworkTopology | None) -> float:
-    """Scalar margin of a named criterion, negative if excluded; only trace-norm reads ``obs``."""
-    if criterion == "trace-norm":
-        if obs is None:
-            raise ValueError("the trace-norm criterion needs an observable set")
-        topo = topology or triangle_topology(rho.layout.node_order)
-        return trace_norm_criterion(covariance_matrix(obs, rho), topo).margin
-    if criterion == "xi-psd":
-        rep = xi_report(rho)
-        return rep.margin + rep.tolerance
-    if criterion == "btn-residual":
-        return btn_residual_report(rho).margin
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
 class WhiteNoiseScan:
     """A criterion's verdict on v*rho + (1 - v)*1/d as a function of the visibility v.
 
-    For trace-norm the moments of ``obs`` on rho and on 1/d are taken once
-    (:func:`~netcm.covariance.white_noise_cm`), so a visibility costs O(n^2)
-    plus the pair trace norms.  The triangle criteria, which take no
-    observables, evaluate each mixture; for a noisy pure state that is a
-    vector and a visibility, not a d x d matrix.
+    A visibility mixes the moments of rho and of 1/d, taken once
+    (:func:`~netcm.covariance.white_noise_moments`), and runs the report's
+    moment-level code: O(n^2) plus one spectral step, no mixed state built.
     """
 
     def __init__(self, rho: DensityOperator, obs: ObservableSet | None, criterion: str,
                  topology: NetworkTopology | None = None):
-        self.rho, self.criterion, self.topology = rho, criterion, topology
+        self.criterion = criterion
         if criterion == "trace-norm":
             if obs is None:
                 raise ValueError("the trace-norm criterion needs an observable set")
-            self.topology = topology or triangle_topology(rho.layout.node_order)
-            self._cm = white_noise_cm(obs, rho)
+            topo = topology or triangle_topology(rho.layout.node_order)
+            stacks = _node_stacks(obs, rho.layout)
+            self._report = lambda a, m: trace_norm_criterion(_block_cm(stacks, _centred(a, m)), topo)
+        elif criterion == "xi-psd":
+            stacks, rows = _triangle_stacks(rho.layout)
+            self._report = lambda a, m: _xi_verdict(_xi(stacks, rows, a, m)[0])
+        elif criterion == "btn-residual":
+            stacks, rows = _triangle_stacks(rho.layout)
+            self._report = lambda a, m: _residual_verdict(_residual(stacks, rows, a, m))
+        else:
+            raise ValueError(f"unknown criterion {criterion!r}")
+        self._moments = white_noise_moments(stacks, rho)
 
     def row(self, v: float) -> tuple[float, float, float, bool]:
-        """(lhs, rhs, margin, passed) at visibility v; the triangle criteria report
-        :func:`criterion_margin` as lhs and margin, 0 as rhs."""
+        """(lhs, rhs, margin, passed) at visibility v; the triangle criteria
+        report margin + tolerance as lhs and margin, 0 as rhs."""
+        rep = self._report(*self._moments(v))
         if self.criterion == "trace-norm":
-            rep = trace_norm_criterion(self._cm(v), self.topology)
             return rep.lhs, rep.rhs, rep.margin, rep.passed
-        m = criterion_margin(mix_white_noise(self.rho, v), None, self.criterion, self.topology)
+        m = rep.margin + rep.tolerance
         return m, 0.0, m, m >= 0.0
 
     def threshold(self, tol: float = 1e-6, lo: float = 0.0, hi: float = 1.0) -> float:

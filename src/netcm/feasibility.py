@@ -35,8 +35,8 @@ proves that no decomposition exists.  The margin delta = CERT_RTOL ||Y|| ||a0||
 eigenvalues and of a0 itself.  The check runs at iterations 1, 2, 4, 8, ...
 and at the cap, so converging solves pay for O(log iterations) checks; a
 certificate that passes it is confirmed by ``verify_certificate`` before the
-solver stops with status "infeasible".  A residual that plateaus at the cap
-without a certificate is reported as "infeasible-evidence".
+solver stops with status "infeasible", so that status always carries a
+proof; a run that reaches the cap without one or a witness is "inconclusive".
 
 Summands are stored compactly: summand k lives on the rows and columns of
 its nodes only, padded with zeros to a common size m (PSD projection keeps
@@ -66,9 +66,6 @@ DEFAULT_MAX_ITER = 50000
 # a0 off A by about u ||a0||: all below 1e-9 ||Y|| ||a0|| for stacks of up to
 # 10^6 entries, far beyond what a dense solver handles
 CERT_RTOL = 1e-9
-# a residual plateau below RESIDUAL_FLOOR * max|Gamma_ij| is rounding, not
-# evidence of infeasibility: a feasible CM's residual levels off near 1e-15 of its scale
-RESIDUAL_FLOOR = 1e-12
 # Anderson acceleration (module docstring): (dW, dF) pairs kept, Tikhonov weight per ||f||^2
 ANDERSON_DEPTH = 5
 ANDERSON_REG = 1e-1
@@ -129,7 +126,7 @@ class FeasibilityOutcome:
     """Solver verdict: status, witness (when feasible), certificate (when
     infeasible), residual trace."""
 
-    status: str  # "feasible" | "infeasible" | "infeasible-evidence" | "inconclusive"
+    status: str  # "feasible" | "infeasible" | "inconclusive"
     witness: tuple[np.ndarray, ...] | None
     residual: float
     iterations: int
@@ -148,7 +145,7 @@ class FeasibilityOutcome:
 
 
 def _scale(gamma: BlockCovarianceMatrix) -> float:
-    """max|Gamma_ij|: the unit of every residual target and floor.
+    """max|Gamma_ij|: the unit of every residual target.
 
     It is 0 for the all-zero CM, whose one decomposition, zero summands,
     ``solve`` reaches exactly at iteration 1 (a PSD projection of zeros is
@@ -317,10 +314,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     certificate verifies (status "infeasible", see the module docstring).
     A CM block above the target between two nodes that no source links is
     "infeasible" at once, with that pair as the certificate.  At
-    ``max_iter`` without a certificate the verdict is "infeasible-evidence"
-    if the residual plateaued at or above both 10 times the target and the
-    rounding floor ``RESIDUAL_FLOOR * max|Gamma_ij|`` (1e-12
-    relative) over the last tenth of the run, else "inconclusive".
+    ``max_iter`` with neither the verdict is "inconclusive".
 
     Iterations apply the module docstring's map: iteration 1 is plain, later
     ones extrapolate over the last ``ANDERSON_DEPTH`` steps.
@@ -335,8 +329,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if allow_diagonal_slack:
         problem = _with_slack(problem)
-    scale = _scale(problem.gamma)
-    target = tol * scale
+    target = tol * _scale(problem.gamma)
     pair, blocked = _uncovered_pair(problem)
     if blocked > target:
         # a CM block between nodes no source connects cannot be matched by
@@ -381,9 +374,6 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
             coef = np.linalg.solve(gram, df @ f.ravel())
             w -= ((dw + df).T @ coef).reshape(w.shape)
     history = np.array(history)
-    plateau = history[-max(1, max_iter // 10):].min()
-    if status == "inconclusive" and plateau >= max(10.0 * target, RESIDUAL_FLOOR * scale):
-        status = "infeasible-evidence"
     witness = stack.to_full(y) if status == "feasible" else None
     return FeasibilityOutcome(status, witness, float(history[-1]), it, history, certificate)
 
@@ -540,8 +530,7 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
         "witness_files": write_all("witness", outcome.witness),
         "certificate_files": write_all("certificate", cert.separator if cert else ()),
         "certificate": cert.to_dict() if cert else None,
-        "note": ("infeasible-evidence is not a certificate; an infeasible verdict "
-                 "carries one, checkable with verify_certificate"),
+        "note": "the residual is not a certificate; an infeasible verdict carries a verified one",
     }
     path = directory / "manifest.json"
     tmp = path.with_name(path.name + ".tmp")

@@ -13,7 +13,7 @@ import pytest
 
 from netcm.covariance import covariance_matrix
 from netcm.criteria import _margin_given_means
-from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL, RESIDUAL_FLOOR,
+from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                FeasibilityOutcome, FeasibilityProblem,
                                InfeasibilityCertificate, _hyperplane_test, _Stack,
                                _uncovered_pair, _with_slack, verify_certificate)
@@ -21,6 +21,10 @@ from netcm.linalg import SubsystemLayout, partial_trace, psd_project
 from netcm.observables import (Observable, ObservableSet, embed, full_product_set,
                                reduced_observable)
 from netcm.states import DensityOperator, random_source, triangle_layout
+
+# plain_dykstra's own plateau rule: a residual plateau below RESIDUAL_FLOOR *
+# max(1, max|Gamma_ij|) is rounding, not evidence of infeasibility
+RESIDUAL_FLOOR = 1e-12
 
 
 def naive_partial_trace(rho, dims, keep):

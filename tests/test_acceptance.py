@@ -397,7 +397,7 @@ def test_acceptance_10_feasibility_solver(rng):
         assert outcome.status == "feasible"
         assert outcome.residual <= 1e-7
         assert verify_witness(problem, outcome.witness, 1e-7)
-    # violating GHZ CMs: infeasible-evidence at the stated visibilities
+    # violating GHZ CMs: infeasible, with a verified certificate, at the stated visibilities
     statuses = {}
     for v in (0.6, 0.8, 1.0):
         rho = mix_white_noise(ghz_state(3, 2), v)

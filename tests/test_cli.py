@@ -226,6 +226,48 @@ class TestSixteenQubits:
         assert [row["pass"] for row in report["grid"]] == [True] + [False] * 4
 
 
+class TestOneMomentPass:
+    """The triangle criteria read a state through the moment kernel only."""
+
+    def test_xi_scan_refine_builds_no_mixture(self, monkeypatch, capsys):
+        import netcm.cli
+        import netcm.criteria
+        import netcm.states
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mixed state was built")
+
+        for module in (netcm.cli, netcm.criteria, netcm.states):
+            monkeypatch.setattr(module, "mix_white_noise", refuse, raising=False)
+        monkeypatch.setattr(NoisyPureState, "matrix", property(refuse))
+        monkeypatch.setattr(DensityOperator, "_trusted", classmethod(refuse))
+        assert run(["scan", "--state", "dicke", "--k", "2", "--split", "2x2", "--criterion",
+                    "xi-psd", "--grid", "0:1:0.25", "--refine"]) == 0
+        report = load_report(capsys)
+        assert [row["pass"] for row in report["grid"]] == [True] + [False] * 4
+        assert 0.0 < report["refined_threshold"] < 0.25
+
+    def test_decompose_source_declared_one_node(self, tmp_path, rng, capsys):
+        # a file source whose two factors form one node "S" is read by its
+        # factor labels; the parts equal those of the same source split in two
+        sources = []
+        for i, nodes in enumerate((["S", "S"], None, None)):
+            path = tmp_path / f"source{i}.ncmx"
+            write_matrix(path, random_density(4, rng))
+            params = {"path": str(path), "dims": [2, 2]}
+            sources.append({"family": "file", "params": dict(params, nodes=nodes) if nodes else params})
+        for name, srcs in (("one-node", sources), ("split", [
+                {"family": "file", "params": s["params"] | {"nodes": None}} for s in sources])):
+            spec = json.dumps({"family": "btn", "params": {"sources": srcs}})
+            assert run(["decompose", "--state-json", spec, "--output-dir", str(tmp_path / name),
+                        "--output", str(tmp_path / f"{name}.json")]) == 0
+        from netcm.ncmx import read_matrix
+
+        for part in ("t_c", "t_b", "t_a", "r"):
+            assert np.array_equal(read_matrix(tmp_path / "one-node" / f"{part}.ncmx"),
+                                  read_matrix(tmp_path / "split" / f"{part}.ncmx"))
+
+
 class TestDecompose:
     def test_bell_triangle(self, tmp_path, capsys):
         code = run(["decompose", "--state", "btn", "--dim", "2",
@@ -322,7 +364,6 @@ class TestValidatedOnce:
         # relabelled source state and no covariance_matrix call
         import netcm.cli
         import netcm.covariance
-        import netcm.criteria
         from netcm.observables import Observable, ObservableSet
 
         built = []
@@ -333,7 +374,7 @@ class TestValidatedOnce:
                 return original(*args, **kwargs)
             return wrapper
 
-        for module in (netcm.cli, netcm.covariance, netcm.criteria):
+        for module in (netcm.cli, netcm.covariance):
             monkeypatch.setattr(module, "covariance_matrix",
                                 counting("covariance_matrix", netcm.covariance.covariance_matrix))
         for cls in (Observable, ObservableSet, DensityOperator):
@@ -364,8 +405,9 @@ class TestFeasibility:
         assert "tolerance must be > 0" in capsys.readouterr().err
 
     def test_residual_floor_is_inconclusive(self, capsys):
-        # a feasible triangle CM plateaus at rounding (about 3e-15), below
-        # the floor 1e-12 * max(1, max|Gamma_ij|): no evidence of infeasibility
+        # a feasible triangle CM plateaus at rounding (about 3e-15), above the
+        # target 1e-16 * max|Gamma_ij|: the cap is hit without a witness or a
+        # certificate, which is inconclusive
         code = run(["feasibility", "--state-json", '{"family": "btn", "params": {"bell_dim": 2}}',
                     "--observables", "full-product", "--tolerance", "1e-16", "--max-iter", "300"])
         payload = load_report(capsys)

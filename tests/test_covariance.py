@@ -3,13 +3,16 @@ import pytest
 
 from netcm.covariance import (
     BlockCovarianceMatrix,
+    _block_cm,
+    _centred,
+    _node_stacks,
     covariance_matrix,
     load_cm,
     moments,
     product_state_cm,
     recombine_cm,
     save_cm,
-    white_noise_cm,
+    white_noise_moments,
 )
 from netcm.linalg import SubsystemLayout, kron
 from netcm.observables import (
@@ -211,6 +214,13 @@ class TestProductStateCm:
         got = product_state_cm([(obs, r), (obs, r)])
         _, g = moments(obs, r)
         assert np.abs(got.matrix - np.kron(g, g).real).max() <= 1e-12
+
+
+def white_noise_cm(obs, rho):
+    """v -> the CM of v*rho + (1 - v)*1/d, centred from the endpoint mixer's moments."""
+    stacks = _node_stacks(obs, rho.layout)
+    moments_at = white_noise_moments(stacks, rho)
+    return lambda v: _block_cm(stacks, _centred(*moments_at(v)))
 
 
 class TestWhiteNoiseCm:

@@ -3,16 +3,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, moments
+from netcm.covariance import BlockCovarianceMatrix, _centred, _stacked_moments, covariance_matrix, moments
 from netcm.criteria import (
     _candidate_means,
     _margin_given_means,
     _max_margin,
-    _triangle_pass,
+    WhiteNoiseScan,
+    _factor_moments,
+    _triangle_stacks,
     btn_cm_residual,
     btn_decompose,
     btn_residual_report,
-    criterion_margin,
     ghz_fidelity_bound,
     ghz_statistics_margin,
     trace_norm_criterion,
@@ -25,8 +26,10 @@ from netcm.observables import (
     ObservableSet,
     full_product_set,
     named_observable_set,
+    orthogonal_basis,
 )
 from netcm.states import (
+    DensityOperator,
     bell_pair,
     btn_assemble,
     cluster4_state,
@@ -230,7 +233,9 @@ class TestTrianglePass:
 
     @staticmethod
     def assert_same_cm(rho):
-        gamma, sizes = _triangle_pass(rho)[2:4]
+        stacks, _ = _triangle_stacks(rho.layout)
+        gamma = _centred(*_stacked_moments(stacks, rho))
+        sizes = tuple(len(s) for _, s in stacks.values())
         want = covariance_matrix(full_product_set(rho.layout), rho)
         assert np.array_equal(gamma, want.matrix)
         assert sizes == want.block_sizes
@@ -245,6 +250,82 @@ class TestTrianglePass:
     def test_random_btn_states(self, rng, dims):
         for _ in range(3):
             self.assert_same_cm(btn_assemble(*[random_source(d, rng) for d in dims]))
+
+
+def _basis(layout, label):
+    return np.stack(list(orthogonal_basis(layout.dims[layout.index(label)])))
+
+
+def _pair_cross_cm(rho, fx, fy):
+    """Re <X_m Y_n> - <X_m><Y_n> on the marginal of two factors, by explicit Kronecker products."""
+    bx, by = _basis(rho.layout, fx), _basis(rho.layout, fy)
+    pair = rho.marginal_matrix([fx, fy])  # layout order
+    x_first = rho.layout.index(fx) < rho.layout.index(fy)
+    ax = moments(bx, rho.marginal_matrix([fx]))[0]
+    ay = moments(by, rho.marginal_matrix([fy]))[0]
+    second = np.array([[np.trace((np.kron(x, y) if x_first else np.kron(y, x)) @ pair).real
+                        for y in by] for x in bx])
+    return second - np.outer(ax, ay)
+
+
+class TestOneMomentPass:
+    """Factor means, complex factor CMs and cross CMs indexed out of the full-product
+    moments, against the single-factor and pair marginals."""
+
+    @staticmethod
+    def assert_indexed_match_marginals(rho):
+        stacks, rows = _triangle_stacks(rho.layout)
+        means, second = _stacked_moments(stacks, rho)
+        a, cms = _factor_moments(rows, means, second)
+        gamma = _centred(means, second)
+        labels, nodes = rho.layout.labels, rho.layout.nodes
+        for f in labels:
+            want_a, want_cm = moments(_basis(rho.layout, f), rho.marginal_matrix([f]))
+            assert np.abs(a[f] - want_a).max() <= 1e-13, f
+            assert np.abs(cms[f] - want_cm).max() <= 1e-13, f
+        for fx, x in zip(labels, nodes):
+            for fy, y in zip(labels, nodes):
+                if x != y:
+                    got = gamma[np.ix_(rows[fx], rows[fy])]
+                    assert np.abs(got - _pair_cross_cm(rho, fx, fy)).max() <= 1e-13, (fx, fy)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=["qubits", "mixed"])
+    def test_random_btn_states(self, rng, dims):
+        for _ in range(3):
+            self.assert_indexed_match_marginals(btn_assemble(*[random_source(d, rng) for d in dims]))
+
+    @pytest.mark.parametrize("v", [0.3, 1.0])
+    @pytest.mark.parametrize("state", ["ghz", "dicke1", "dicke2", "dicke3"])
+    def test_split_states(self, state, v):
+        base = ghz_state(3, 4) if state == "ghz" else dicke_state(int(state[-1]))
+        self.assert_indexed_match_marginals(split_nodes(mix_white_noise(base, v), (2, 2)))
+
+    def test_complex_factor_cms_carry_commutators(self, rng):
+        # the imaginary parts the Kronecker remainder needs are really there
+        rho = btn_assemble(*[random_source(2, rng) for _ in range(3)])
+        stacks, rows = _triangle_stacks(rho.layout)
+        _, cms = _factor_moments(rows, *_stacked_moments(stacks, rho))
+        assert min(np.abs(c.imag).max() for c in cms.values()) > 1e-3
+
+
+class TestScanRows:
+    """WhiteNoiseScan rows of the triangle criteria against reports on the dense mixture."""
+
+    @pytest.mark.parametrize("criterion", ["xi-psd", "btn-residual"])
+    def test_match_dense_mixture(self, criterion, rng):
+        bases = [split_nodes(dicke_state(k), (2, 2)) for k in (1, 2, 3)]
+        bases += [split_nodes(ghz_state(3, 4, (0, 3)), (2, 2)),
+                  btn_assemble(*[random_source(2, rng) for _ in range(3)])]
+        report = xi_report if criterion == "xi-psd" else btn_residual_report
+        for base in bases:
+            scan = WhiteNoiseScan(base, None, criterion)
+            for v in np.linspace(0.0, 1.0, 21):
+                # a validated dense state: its marginals come from linalg.partial_trace
+                rep = report(DensityOperator(mix_white_noise(base, v).matrix, base.layout))
+                want = rep.margin + rep.tolerance
+                lhs, rhs, margin, passed = scan.row(v)
+                assert abs(lhs - want) <= 1e-12, (base.layout, v)
+                assert (margin, rhs, passed) == (lhs, 0.0, want >= 0.0), (base.layout, v)
 
 
 class TestXi:
@@ -461,7 +542,7 @@ class TestCriterionMargin:
     def test_dispatch(self):
         rho = mix_white_noise(ghz_state(3, 2), 0.3)
         obs = named_observable_set("pauli-z", rho.layout)
-        m = criterion_margin(rho, obs, "trace-norm", triangle_topology())
+        m = WhiteNoiseScan(rho, obs, "trace-norm", triangle_topology()).row(1.0)[2]
         assert m == pytest.approx(3.0 - 1.8)
         with pytest.raises(ValueError, match="unknown criterion"):
-            criterion_margin(rho, obs, "bogus", None)
+            WhiteNoiseScan(rho, obs, "bogus", None)

@@ -248,16 +248,15 @@ class TestOneMomentPass:
         assert 0.0 < report["refined_threshold"] < 0.25
 
     def test_decompose_source_declared_one_node(self, tmp_path, rng, capsys):
-        # a file source whose two factors form one node "S" is read by its
-        # factor labels; the parts equal those of the same source split in two
-        sources = []
-        for i, nodes in enumerate((["S", "S"], None, None)):
-            path = tmp_path / f"source{i}.ncmx"
-            write_matrix(path, random_density(4, rng))
-            params = {"path": str(path), "dims": [2, 2]}
-            sources.append({"family": "file", "params": dict(params, nodes=nodes) if nodes else params})
-        for name, srcs in (("one-node", sources), ("split", [
-                {"family": "file", "params": s["params"] | {"nodes": None}} for s in sources])):
+        # file sources whose two factors form one node "S" are read by their
+        # factor labels; the parts equal those of the same sources split in two
+        paths = []
+        for i in range(3):
+            paths.append(str(tmp_path / f"source{i}.ncmx"))
+            write_matrix(paths[-1], random_density(4, rng))
+        for name, nodes in (("one-node", ["S", "S"]), ("split", None)):
+            srcs = [{"family": "file", "params": {"path": p, "dims": [2, 2], "nodes": nodes}}
+                    for p in paths]
             spec = json.dumps({"family": "btn", "params": {"sources": srcs}})
             assert run(["decompose", "--state-json", spec, "--output-dir", str(tmp_path / name),
                         "--output", str(tmp_path / f"{name}.json")]) == 0

@@ -300,13 +300,6 @@ class TestOneMomentPass:
         base = ghz_state(3, 4) if state == "ghz" else dicke_state(int(state[-1]))
         self.assert_indexed_match_marginals(split_nodes(mix_white_noise(base, v), (2, 2)))
 
-    def test_complex_factor_cms_carry_commutators(self, rng):
-        # the imaginary parts the Kronecker remainder needs are really there
-        rho = btn_assemble(*[random_source(2, rng) for _ in range(3)])
-        stacks, rows = _triangle_stacks(rho.layout)
-        _, cms = _factor_moments(rows, *_stacked_moments(stacks, rho))
-        assert min(np.abs(c.imag).max() for c in cms.values()) > 1e-3
-
 
 class TestScanRows:
     """WhiteNoiseScan rows of the triangle criteria against reports on the dense mixture."""

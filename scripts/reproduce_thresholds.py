@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from netcm.covariance import covariance_matrix
-from netcm.criteria import ghz_fidelity_bound, trace_norm_criterion, visibility_threshold
+from netcm.criteria import WhiteNoiseScan, ghz_fidelity_bound, trace_norm_criterion
 from netcm.observables import named_observable_set
 from netcm.states import cluster4_state, ghz_state, w_state
 from netcm.topology import line_topology, triangle_topology
@@ -41,17 +41,17 @@ def main() -> int:
     misses = []
     print("visibility thresholds (trace-norm criterion)")
     rho = ghz_state(3, 2)
-    thr = visibility_threshold(rho, named_observable_set("pauli-z", rho.layout),
-                               "trace-norm", triangle_topology(), tol=1e-6)
+    thr = WhiteNoiseScan(rho, named_observable_set("pauli-z", rho.layout),
+                         "trace-norm", triangle_topology()).threshold(1e-6)
     row("ghz3, pauli-z, triangle", thr, 0.5, THRESHOLD_TOL, misses)
     rho = w_state()
-    thr = visibility_threshold(rho, named_observable_set("w-set", rho.layout),
-                               "trace-norm", triangle_topology(), tol=1e-6)
+    thr = WhiteNoiseScan(rho, named_observable_set("w-set", rho.layout),
+                         "trace-norm", triangle_topology()).threshold(1e-6)
     row("w, sigma_x/sigma_y set", thr, 0.75, THRESHOLD_TOL, misses)
     for n in range(3, 17):
         rho = ghz_state(n, 2)
-        thr = visibility_threshold(rho, named_observable_set("pauli-z", rho.layout), "trace-norm",
-                                   line_topology(rho.layout.node_order), tol=1e-6)
+        thr = WhiteNoiseScan(rho, named_observable_set("pauli-z", rho.layout), "trace-norm",
+                             line_topology(rho.layout.node_order)).threshold(1e-6)
         row(f"ghz{n}, pauli-z, line", thr, 1.0 / (n - 1), THRESHOLD_TOL, misses)
 
     print("\ncluster state (trace-norm equality case)")

@@ -12,14 +12,10 @@ from .linalg import (
 from .ncmx import read_matrix, write_matrix
 from .states import (
     DensityOperator,
-    KrausChannel,
     NoisyPureState,
-    apply_local_channels,
-    apply_local_unitaries,
     bell_pair,
     btn_assemble,
     cluster4_state,
-    convex_mix,
     dicke_state,
     ghz_state,
     maximally_mixed,
@@ -38,18 +34,13 @@ from .observables import (
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    orthogonal_from_unitary,
-    pauli_basis,
     product_observable_set,
-    reduced_observable,
 )
 from .covariance import (
     BlockCovarianceMatrix,
     covariance_matrix,
     load_cm,
     moments,
-    product_state_cm,
-    recombine_cm,
     save_cm,
 )
 from .topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
@@ -61,7 +52,6 @@ from .criteria import (
     btn_decompose,
     ghz_fidelity_bound,
     trace_norm_criterion,
-    visibility_threshold,
     xi_matrix,
     xi_report,
 )

@@ -26,7 +26,7 @@ from .criteria import (
     trace_norm_criterion,
     xi_report,
 )
-from .feasibility import FeasibilityProblem, export_witness, solve
+from .feasibility import CERTIFICATE_NOTE, FeasibilityProblem, export_witness, solve
 from .linalg import SubsystemLayout
 from .observables import NAMED_SETS, named_observable_set
 from .states import (
@@ -444,7 +444,7 @@ def cmd_feasibility(args) -> int:
         "state_spec": state_spec,
         "observables_spec": obs_name,
         "topology": topology_to_spec(topo),
-        "note": "the residual is not a certificate; an infeasible verdict carries a verified one",
+        "note": CERTIFICATE_NOTE,
     })
     _emit_json(args.output, payload)
     if outcome.status == "feasible":

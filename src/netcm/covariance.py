@@ -36,7 +36,11 @@ class BlockCovarianceMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        sizes = tuple(int(s) for s in self.block_sizes)
+        sizes = tuple(self.block_sizes)
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0
+                   for s in sizes):
+            raise ValueError(f"block sizes must be integers >= 0, got {list(sizes)}")
+        sizes = tuple(int(s) for s in sizes)
         labels = tuple(self.node_labels)
         if len(sizes) != len(labels):
             raise ValueError("need one block size per node label")
@@ -176,52 +180,6 @@ def white_noise_moments(stacks: Mapping, rho: DensityOperator) -> Callable[[floa
     """
     (a1, m1), (a0, m0) = (_stacked_moments(stacks, r) for r in (rho, maximally_mixed(rho.layout)))
     return lambda v: (v * a1 + (1.0 - v) * a0, v * m1 + (1.0 - v) * m0)
-
-
-def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],
-                     node_label: str = "P") -> BlockCovarianceMatrix:
-    """Closed-form CM of product observables on a product state.
-
-    ``factors`` lists ``(observables, marginal)`` pairs, one per tensor
-    factor.  The result equals the CM of all lexicographic observable
-    products on the product of the marginals, computed without ever
-    building the product state:
-
-        Gamma = prod_x (|a_x><a_x| + Gamma_x)  -  prod_x |a_x><a_x|  (Kronecker products)
-
-    with the complex per-factor CMs, symmetrized at the end.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    with_cm = np.ones((1, 1), dtype=complex)
-    rank_one = np.ones((1, 1), dtype=complex)
-    for obs, marginal in factors:
-        a, gamma = moments(obs, marginal)
-        outer = np.outer(a, a)
-        with_cm = np.kron(with_cm, outer + gamma)
-        rank_one = np.kron(rank_one, outer)
-    total = (with_cm - rank_one).real
-    return BlockCovarianceMatrix(total, (total.shape[0],), (node_label,))
-
-
-def recombine_cm(gamma: BlockCovarianceMatrix, c,
-                 col_sizes: Sequence[int] | None = None) -> BlockCovarianceMatrix:
-    """Congruence C^T Gamma C for recombined observables M_j = sum_i C_ij N_i.
-
-    With square ``c`` the block layout carries over; for rectangular ``c``
-    pass ``col_sizes`` giving the new per-node block sizes.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != gamma.dim:
-        raise ValueError(f"recombination matrix shape {c.shape} does not match CM dimension {gamma.dim}")
-    if col_sizes is None:
-        if c.shape[1] != c.shape[0]:
-            raise ValueError("rectangular recombination needs explicit col_sizes")
-        col_sizes = gamma.block_sizes
-    col_sizes = tuple(int(s) for s in col_sizes)
-    if sum(col_sizes) != c.shape[1] or len(col_sizes) != len(gamma.node_labels):
-        raise ValueError(f"col_sizes {col_sizes} do not match recombination matrix {c.shape}")
-    return BlockCovarianceMatrix(c.T @ gamma.matrix @ c, col_sizes, gamma.node_labels)
 
 
 def save_cm(gamma: BlockCovarianceMatrix, path) -> None:

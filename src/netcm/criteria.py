@@ -36,12 +36,12 @@ from .covariance import (BlockCovarianceMatrix, _block_cm, _centred, _node_stack
 from .linalg import SubsystemLayout, psd_margin, trace_norm
 from .observables import ObservableSet, orthogonal_basis, product_stack
 from .states import DensityOperator, triangle_layout
-from .topology import NetworkTopology, triangle_topology
+from .topology import NetworkTopology
 
 __all__ = [
     "CriterionReport", "BtnDecomposition",
     "btn_decompose", "btn_cm_residual", "xi_matrix", "xi_report",
-    "trace_norm_criterion", "WhiteNoiseScan", "visibility_threshold", "ghz_fidelity_bound",
+    "trace_norm_criterion", "WhiteNoiseScan", "ghz_fidelity_bound",
 ]
 
 @dataclass(frozen=True)
@@ -332,9 +332,11 @@ class WhiteNoiseScan:
         if criterion == "trace-norm":
             if obs is None:
                 raise ValueError("the trace-norm criterion needs an observable set")
-            topo = topology or triangle_topology(rho.layout.node_order)
+            if topology is None:
+                raise ValueError("the trace-norm criterion needs a topology")
             stacks = _node_stacks(obs, rho.layout)
-            self._report = lambda a, m: trace_norm_criterion(_block_cm(stacks, _centred(a, m)), topo)
+            self._report = lambda a, m: trace_norm_criterion(_block_cm(stacks, _centred(a, m)),
+                                                             topology)
         elif criterion == "xi-psd":
             stacks, rows = _triangle_stacks(rho.layout)
             self._report = lambda a, m: _xi_verdict(_xi(stacks, rows, a, m)[0])
@@ -372,16 +374,6 @@ class WhiteNoiseScan:
         return 0.5 * (lo + hi)
 
 
-def visibility_threshold(rho: DensityOperator, observables: ObservableSet | None = None,
-                         criterion: str = "trace-norm",
-                         topology: NetworkTopology | None = None,
-                         tol: float = 1e-6,
-                         lo: float = 0.0,
-                         hi: float = 1.0) -> float:
-    """Visibility where the verdict on v*rho + (1 - v)*1/d flips (:meth:`WhiteNoiseScan.threshold`)."""
-    return WhiteNoiseScan(rho, observables, criterion, topology).threshold(tol, lo, hi)
-
-
 def _bisect(margin: Callable[[float], float], lo: float, hi: float,
             tol: float) -> tuple[float, float]:
     """Narrow [lo, hi], margin(lo) >= 0 > margin(hi), to width <= tol or to adjacent floats."""
@@ -397,23 +389,6 @@ def _bisect(margin: Callable[[float], float], lo: float, hi: float,
 
 
 # -- GHZ fidelity bound -------------------------------------------------------
-
-
-def ghz_statistics_margin(fidelity: float, means_rest: np.ndarray, correlators_rest: np.ndarray) -> float:
-    """Trace-norm margin for given sigma_z statistics of the GHZ-orthogonal rest.
-
-    A state F |GHZ><GHZ| + (1-F) rho_rest has one-body means (1-F) z_x and
-    two-body correlators F + (1-F) w_xy in terms of the rest's statistics
-    (z, w); the margin depends on those statistics only.
-    """
-    u = 1.0 - fidelity
-    z = np.asarray(means_rest, dtype=float)
-    w = np.asarray(correlators_rest, dtype=float)
-    means = u * z
-    lhs = 3.0 - float(means @ means)
-    prods = np.array([means[0] * means[1], means[0] * means[2], means[1] * means[2]])
-    rhs = 2.0 * float(np.abs(fidelity + u * w - prods).sum())
-    return lhs - rhs
 
 
 def _margin_given_means(fidelity: float, squares, pairs):

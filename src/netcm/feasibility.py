@@ -69,6 +69,8 @@ CERT_RTOL = 1e-9
 # Anderson acceleration (module docstring): (dW, dF) pairs kept, Tikhonov weight per ||f||^2
 ANDERSON_DEPTH = 5
 ANDERSON_REG = 1e-1
+# the "note" of feasibility reports and witness manifests
+CERTIFICATE_NOTE = "the residual is not a certificate; an infeasible verdict carries a verified one"
 
 
 @dataclass(frozen=True)
@@ -259,18 +261,6 @@ class _Stack:
         for zk, t, ix in zip(z, ts, self.index):
             zk[:len(ix), :len(ix)] = np.asarray(t, dtype=float)[np.ix_(ix, ix)]
         return z
-
-
-def affine_project(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> list[np.ndarray]:
-    """Exact Euclidean projection onto the affine constraint set.
-
-    Off-diagonal blocks of each summand are overwritten with their mask
-    values, blocks outside the summand's source are zeroed, and the
-    diagonal deficit of every node is spread equally over the summands that
-    carry that node.
-    """
-    stack = _Stack(problem)
-    return list(stack.to_full(stack.affine(stack.from_full(ts))))
 
 
 def _uncovered_pair(problem: FeasibilityProblem) -> tuple[tuple[str, str] | None, float]:
@@ -468,27 +458,6 @@ def verify_certificate(problem: FeasibilityProblem, certificate: InfeasibilityCe
     return inner < -eps * gamma.trace() - delta
 
 
-def witness_from_parts(parts: Sequence[np.ndarray], remainder: np.ndarray,
-                       problem: FeasibilityProblem) -> list[np.ndarray]:
-    """Fold a block-diagonal PSD remainder into per-source summands.
-
-    Each node's remainder block is assigned to the first summand whose mask
-    carries that node; adding a PSD block-diagonal piece preserves PSD-ness,
-    so a valid source decomposition with separate remainder becomes a valid
-    witness for the equality-form constraints.
-    """
-    sl = _node_slices(problem.gamma)
-    out = [np.asarray(t, dtype=float).copy() for t in parts]
-    for x in problem.gamma.node_labels:
-        for k, mask in enumerate(problem.masks):
-            if x in mask.free_nodes:
-                out[k][sl[x], sl[x]] += remainder[sl[x], sl[x]]
-                break
-        else:
-            raise ValueError(f"no summand carries node {x!r}")
-    return out
-
-
 def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, directory) -> Path:
     """Write one NCMX file per source summand plus a JSON manifest.
 
@@ -530,7 +499,7 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
         "witness_files": write_all("witness", outcome.witness),
         "certificate_files": write_all("certificate", cert.separator if cert else ()),
         "certificate": cert.to_dict() if cert else None,
-        "note": "the residual is not a certificate; an infeasible verdict carries a verified one",
+        "note": CERTIFICATE_NOTE,
     }
     path = directory / "manifest.json"
     tmp = path.with_name(path.name + ".tmp")

@@ -1,4 +1,4 @@
-"""Local observable sets, orthogonal operator bases, and reduced observables.
+"""Local observable sets and orthogonal operator bases.
 
 :func:`product_stack` forms the product bases of both the full product sets
 and the triangle criteria, which use the plain arrays, with no observables.
@@ -55,16 +55,6 @@ class OrthogonalBasis:
 
     def __getitem__(self, i):
         return self.elements[i]
-
-    def bloch_vector(self, rho) -> np.ndarray:
-        """Expansion coefficients tr(G_a rho); real for Hermitian rho."""
-        rho = np.asarray(rho)
-        return np.array([np.trace(g @ rho).real for g in self.elements])
-
-
-def pauli_basis() -> OrthogonalBasis:
-    """Qubit basis {1, sigma_x, sigma_y, sigma_z}; tr(G G') = 2 delta."""
-    return OrthogonalBasis((np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z))
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,44 +191,6 @@ def full_product_set(layout: SubsystemLayout) -> ObservableSet:
         for o in product_observable_set(
             [orthogonal_basis(layout.dims[layout.index(l)]) for l in layout.factors_of(node)],
             node)))
-
-
-def reduced_observable(obs_matrix, dims: tuple[int, int], marginal, keep: int = 2) -> np.ndarray:
-    """Effective single-factor operator of a two-factor observable.
-
-    For ``keep=2`` this is tr_1(A [rho_1 x 1_2]) with ``marginal`` the state
-    of the traced first factor; ``keep=1`` traces the second factor against
-    its marginal instead.
-    """
-    d1, d2 = dims
-    a = np.asarray(obs_matrix, dtype=complex)
-    if a.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"observable shape {a.shape} does not match factor dims {dims}")
-    rho = np.asarray(marginal, dtype=complex)
-    a4 = a.reshape(d1, d2, d1, d2)
-    if keep == 2:
-        if rho.shape != (d1, d1):
-            raise ValueError(f"marginal shape {rho.shape} does not match traced dimension {d1}")
-        return np.einsum("ijml,mi->jl", a4, rho)
-    if keep == 1:
-        if rho.shape != (d2, d2):
-            raise ValueError(f"marginal shape {rho.shape} does not match traced dimension {d2}")
-        return np.einsum("ijkn,nj->ik", a4, rho)
-    raise ValueError(f"keep must be 1 or 2, got {keep}")
-
-
-def orthogonal_from_unitary(u, basis: OrthogonalBasis) -> np.ndarray:
-    """Real matrix O with U^dag G_a U = sum_b O_ab G_b; O is orthogonal."""
-    u = np.asarray(u, dtype=complex)
-    d = basis.dim
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match basis dimension {d}")
-    dev = float(np.abs(u.conj().T @ u - np.eye(d)).max())
-    if dev > 1e-9:
-        raise ValueError(f"input is not unitary: max|U^dag U - 1| = {dev:.3e}")
-    conj = [u.conj().T @ g @ u for g in basis]
-    o = np.array([[np.trace(cg @ g).real / d for g in basis] for cg in conj])
-    return o
 
 
 def _require_qubit_nodes(layout: SubsystemLayout):

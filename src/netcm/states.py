@@ -7,8 +7,8 @@ marginals come from the reshaped vector, so a 16-qubit GHZ state needs a
 vector of 2^16 entries, not a 2^16 x 2^16 matrix.  Every other state holds
 its dense matrix.  Criteria read states only through
 :meth:`DensityOperator.marginal_matrix`; the dense matrix of a noisy pure
-state is built when something asks for ``.matrix`` (channels, unitaries,
-permutations, network assembly).
+state is built when something asks for ``.matrix`` (permutations, network
+assembly).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .topology import NetworkTopology
 
 TRACE_TOL = 1e-10
 MIN_EIG_TOL = 1e-9
-KRAUS_TOL = 1e-9
 
 _NODE_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -91,15 +90,6 @@ class DensityOperator:
         """
         return partial_trace(self.matrix, self.layout, labels)
 
-    def marginal(self, labels: Iterable[str]) -> "DensityOperator":
-        """Reduced state on the given factors, layout order preserved."""
-        labels = list(labels)
-        return DensityOperator(self.marginal_matrix(labels), self.layout.keep(labels))
-
-    def node_marginal(self, *nodes: str) -> "DensityOperator":
-        labels = [l for x in nodes for l in self.layout.factors_of(x)]
-        return self.marginal(labels)
-
     def permuted(self, new_order: Sequence[str]) -> "DensityOperator":
         return DensityOperator._trusted(
             permute_subsystems(self.matrix, self.layout, new_order), self.layout.reorder(new_order)
@@ -108,24 +98,6 @@ class DensityOperator:
     def with_layout(self, layout: SubsystemLayout) -> "DensityOperator":
         """Same matrix under a different factorization of equal total dimension."""
         return DensityOperator._trusted(self.matrix, layout)
-
-    def expectation(self, op) -> float:
-        val = complex(np.trace(np.asarray(op) @ self.matrix))
-        return float(val.real) if abs(val.imag) < 1e-9 else val
-
-    def swap_node_factors(self, node: str) -> "DensityOperator":
-        """Exchange the two factors of a bipartite node (alternative wiring)."""
-        f = self.layout.factors_of(node)
-        if len(f) != 2:
-            raise ValueError(f"node {node!r} has {len(f)} factors, need exactly 2")
-        order = list(self.layout.labels)
-        i, j = order.index(f[0]), order.index(f[1])
-        order[i], order[j] = order[j], order[i]
-        rho = self.permuted(order)
-        # restore the original factor names so downstream labels stay stable
-        labels = list(rho.layout.labels)
-        labels[i], labels[j] = labels[j], labels[i]
-        return DensityOperator._trusted(rho.matrix, SubsystemLayout(rho.layout.dims, tuple(labels), rho.layout.nodes))
 
 
 class NoisyPureState(DensityOperator):
@@ -171,53 +143,6 @@ class NoisyPureState(DensityOperator):
 
     def with_layout(self, layout: SubsystemLayout) -> "NoisyPureState":
         return NoisyPureState(self.vector, layout, self.visibility)
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
-
-    kraus_ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        din = ops[0].shape[1]
-        dout = ops[0].shape[0]
-        if any(k.shape != (dout, din) for k in ops):
-            raise ValueError("all Kraus operators must share one shape")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.abs(total - np.eye(din)).max())
-        if dev > KRAUS_TOL:
-            raise ValueError(f"Kraus completeness violated: max|sum K^dag K - 1| = {dev:.3e}")
-        object.__setattr__(self, "kraus_ops", ops)
-
-    @property
-    def input_dim(self) -> int:
-        return self.kraus_ops[0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "KrausChannel":
-        return cls((np.eye(dim),))
-
-    @classmethod
-    def from_unitary(cls, u) -> "KrausChannel":
-        return cls((np.asarray(u, dtype=complex),))
-
-    @classmethod
-    def depolarizing(cls, dim: int) -> "KrausChannel":
-        """Fully depolarizing channel: every input goes to the maximally mixed state."""
-        ops = []
-        for i, j in product(range(dim), repeat=2):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = 1.0 / np.sqrt(dim)
-            ops.append(k)
-        return cls(tuple(ops))
 
 
 def _single_node_layout(parties: int, dim: int) -> SubsystemLayout:
@@ -332,19 +257,6 @@ def mix_white_noise(rho: DensityOperator, v: float) -> DensityOperator:
     return DensityOperator._trusted(mixed, rho.layout)
 
 
-def convex_mix(states: Sequence[DensityOperator], weights: Sequence[float]) -> DensityOperator:
-    """Weighted mixture of states sharing one layout."""
-    if len(states) != len(weights):
-        raise ValueError("need one weight per state")
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
-    layout = states[0].layout
-    if any(s.layout != layout for s in states):
-        raise ValueError("all states must share the same layout")
-    return DensityOperator(sum(wi * s.matrix for wi, s in zip(w, states)), layout)
-
-
 def triangle_layout(dims: Mapping[str, int] | int = 2) -> SubsystemLayout:
     """Standard six-factor triangle layout A1 A2 B1 B2 C1 C2 (node-major).
 
@@ -421,60 +333,6 @@ def network_state(topology: NetworkTopology, sources: Sequence[DensityOperator])
     return DensityOperator._trusted(mat, SubsystemLayout(dims, tuple(order), tuple(order_nodes)))
 
 
-def apply_local_unitaries(rho: DensityOperator, unitaries: Mapping[str, np.ndarray]) -> DensityOperator:
-    """Conjugate by per-node unitaries (identity on omitted nodes)."""
-    ops = []
-    for node in rho.layout.node_order:
-        d = rho.layout.node_dim(node)
-        u = np.asarray(unitaries.get(node, np.eye(d)), dtype=complex)
-        if u.shape != (d, d):
-            raise ValueError(f"unitary for node {node!r} has shape {u.shape}, expected {(d, d)}")
-        dev = float(np.abs(u.conj().T @ u - np.eye(d)).max())
-        if dev > 1e-9:
-            raise ValueError(f"operator for node {node!r} is not unitary: max|U^dag U - 1| = {dev:.3e}")
-        ops.append(u)
-    big = ops[0]
-    for u in ops[1:]:
-        big = kron(big, u)
-    return DensityOperator(big @ rho.matrix @ big.conj().T, rho.layout)
-
-
-def apply_local_channels(rho: DensityOperator, channels: Mapping[str, KrausChannel]) -> DensityOperator:
-    """Apply per-node Kraus channels (identity on omitted nodes).
-
-    A node a channel acts on is collapsed to a single factor carrying the
-    channel's output dimension; untouched nodes keep their factorization.
-    """
-    unknown = set(channels) - set(rho.layout.node_order)
-    if unknown:
-        raise KeyError(f"unknown nodes {sorted(unknown)}; have {rho.layout.node_order}")
-    mat = rho.matrix
-    dims, labels, nodes = list(rho.layout.dims), list(rho.layout.labels), list(rho.layout.nodes)
-    for node in rho.layout.node_order:
-        if node not in channels:
-            continue
-        chan = channels[node]
-        start = nodes.index(node)
-        count = nodes.count(node)
-        din = int(np.prod(dims[start:start + count]))
-        if chan.input_dim != din:
-            raise ValueError(
-                f"channel for node {node!r} expects input dimension {chan.input_dim}, node has {din}"
-            )
-        before = int(np.prod(dims[:start])) if start else 1
-        after = int(np.prod(dims[start + count:])) if start + count < len(dims) else 1
-        out = None
-        for k in chan.kraus_ops:
-            big = kron(np.eye(before), kron(k, np.eye(after)))
-            term = big @ mat @ big.conj().T
-            out = term if out is None else out + term
-        mat = out
-        dims[start:start + count] = [chan.output_dim]
-        labels[start:start + count] = [node]
-        nodes[start:start + count] = [node]
-    return DensityOperator(mat, SubsystemLayout(tuple(dims), tuple(labels), tuple(nodes)))
-
-
 def split_nodes(rho: DensityOperator, split: Mapping[str, tuple[int, int]] | tuple[int, int]) -> DensityOperator:
     """Refine single-factor nodes into two tensor factors each.
 
@@ -513,21 +371,3 @@ def random_source(d: int, rng: np.random.Generator, labels: Sequence[str] = ("1"
     """Random bipartite d x d source state."""
     return DensityOperator(random_density(d * d, rng), SubsystemLayout((d, d), tuple(labels)))
 
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Gaussian matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_kraus_channel(din: int, dout: int, n_ops: int, rng: np.random.Generator) -> KrausChannel:
-    """Random channel from an isometry: stacked Gaussian blocks, orthonormalized."""
-    if dout * n_ops < din:
-        raise ValueError(
-            f"no isometry from dimension {din} into {n_ops} blocks of {dout}; "
-            "need dout * n_ops >= din"
-        )
-    g = rng.standard_normal((dout * n_ops, din)) + 1j * rng.standard_normal((dout * n_ops, din))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(tuple(q[i * dout:(i + 1) * dout, :] for i in range(n_ops)))

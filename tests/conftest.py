@@ -4,22 +4,28 @@ The oracles here deliberately avoid the library's fast paths: partial
 traces are explicit index loops and covariance matrices come from global
 identity-padded embeddings, so theorem checks compare two genuinely
 different computations.
+
+The generators of network states (local unitaries, Kraus channels, convex
+mixtures) and the closed forms the decomposition is checked against
+(product-state CMs, congruences, reduced observables) live here too: no
+command uses them, so they are not part of the package.
 """
 
+from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
 
-from netcm.covariance import covariance_matrix
+from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, moments
 from netcm.criteria import _margin_given_means
 from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                FeasibilityOutcome, FeasibilityProblem,
                                InfeasibilityCertificate, _hyperplane_test, _Stack,
                                _uncovered_pair, _with_slack, verify_certificate)
-from netcm.linalg import SubsystemLayout, partial_trace, psd_project
-from netcm.observables import (Observable, ObservableSet, embed, full_product_set,
-                               reduced_observable)
+from netcm.linalg import SubsystemLayout, kron, partial_trace, psd_project
+from netcm.observables import Observable, ObservableSet, OrthogonalBasis, embed, full_product_set
 from netcm.states import DensityOperator, random_source, triangle_layout
 
 # plain_dykstra's own plateau rule: a residual plateau below RESIDUAL_FLOOR *
@@ -186,6 +192,304 @@ def expectation(op, rho: DensityOperator) -> float:
     val = complex(np.trace(np.asarray(op) @ rho.matrix))
     assert abs(val.imag) < 1e-10
     return val.real
+
+
+# Generators of network states: marginals, local unitaries and channels,
+# convex mixtures.  Soundness tests apply them to network states to reach
+# every state of a declared topology.
+
+KRAUS_TOL = 1e-9
+
+
+def marginal(rho: DensityOperator, labels: Iterable[str]) -> DensityOperator:
+    """Reduced state on the given factors, layout order preserved (validated)."""
+    labels = list(labels)
+    return DensityOperator(rho.marginal_matrix(labels), rho.layout.keep(labels))
+
+
+def node_marginal(rho: DensityOperator, *nodes: str) -> DensityOperator:
+    return marginal(rho, [l for x in nodes for l in rho.layout.factors_of(x)])
+
+
+def swap_node_factors(rho: DensityOperator, node: str) -> DensityOperator:
+    """Exchange the two factors of a bipartite node (alternative wiring)."""
+    f = rho.layout.factors_of(node)
+    if len(f) != 2:
+        raise ValueError(f"node {node!r} has {len(f)} factors, need exactly 2")
+    order = list(rho.layout.labels)
+    i, j = order.index(f[0]), order.index(f[1])
+    order[i], order[j] = order[j], order[i]
+    out = rho.permuted(order)
+    # restore the original factor names so downstream labels stay stable
+    labels = list(out.layout.labels)
+    labels[i], labels[j] = labels[j], labels[i]
+    return DensityOperator._trusted(out.matrix, SubsystemLayout(out.layout.dims, tuple(labels),
+                                                                out.layout.nodes))
+
+
+@dataclass(frozen=True)
+class KrausChannel:
+    """Completely positive trace-preserving map given by Kraus operators."""
+
+    kraus_ops: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+        if not ops:
+            raise ValueError("a channel needs at least one Kraus operator")
+        din = ops[0].shape[1]
+        dout = ops[0].shape[0]
+        if any(k.shape != (dout, din) for k in ops):
+            raise ValueError("all Kraus operators must share one shape")
+        total = sum(k.conj().T @ k for k in ops)
+        dev = float(np.abs(total - np.eye(din)).max())
+        if dev > KRAUS_TOL:
+            raise ValueError(f"Kraus completeness violated: max|sum K^dag K - 1| = {dev:.3e}")
+        object.__setattr__(self, "kraus_ops", ops)
+
+    @property
+    def input_dim(self) -> int:
+        return self.kraus_ops[0].shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.kraus_ops[0].shape[0]
+
+    @classmethod
+    def identity(cls, dim: int) -> "KrausChannel":
+        return cls((np.eye(dim),))
+
+    @classmethod
+    def from_unitary(cls, u) -> "KrausChannel":
+        return cls((np.asarray(u, dtype=complex),))
+
+    @classmethod
+    def depolarizing(cls, dim: int) -> "KrausChannel":
+        """Fully depolarizing channel: every input goes to the maximally mixed state."""
+        ops = []
+        for i, j in iproduct(range(dim), repeat=2):
+            k = np.zeros((dim, dim), dtype=complex)
+            k[i, j] = 1.0 / np.sqrt(dim)
+            ops.append(k)
+        return cls(tuple(ops))
+
+
+def convex_mix(states: Sequence[DensityOperator], weights: Sequence[float]) -> DensityOperator:
+    """Weighted mixture of states sharing one layout."""
+    if len(states) != len(weights):
+        raise ValueError("need one weight per state")
+    w = np.asarray(weights, dtype=float)
+    if w.size == 0 or w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
+    layout = states[0].layout
+    if any(s.layout != layout for s in states):
+        raise ValueError("all states must share the same layout")
+    return DensityOperator(sum(wi * s.matrix for wi, s in zip(w, states)), layout)
+
+
+def apply_local_unitaries(rho: DensityOperator, unitaries: Mapping[str, np.ndarray]) -> DensityOperator:
+    """Conjugate by per-node unitaries (identity on omitted nodes)."""
+    ops = []
+    for node in rho.layout.node_order:
+        d = rho.layout.node_dim(node)
+        u = np.asarray(unitaries.get(node, np.eye(d)), dtype=complex)
+        if u.shape != (d, d):
+            raise ValueError(f"unitary for node {node!r} has shape {u.shape}, expected {(d, d)}")
+        dev = float(np.abs(u.conj().T @ u - np.eye(d)).max())
+        if dev > 1e-9:
+            raise ValueError(f"operator for node {node!r} is not unitary: max|U^dag U - 1| = {dev:.3e}")
+        ops.append(u)
+    big = ops[0]
+    for u in ops[1:]:
+        big = kron(big, u)
+    return DensityOperator(big @ rho.matrix @ big.conj().T, rho.layout)
+
+
+def apply_local_channels(rho: DensityOperator, channels: Mapping[str, KrausChannel]) -> DensityOperator:
+    """Apply per-node Kraus channels (identity on omitted nodes).
+
+    A node a channel acts on is collapsed to a single factor carrying the
+    channel's output dimension; untouched nodes keep their factorization.
+    """
+    unknown = set(channels) - set(rho.layout.node_order)
+    if unknown:
+        raise KeyError(f"unknown nodes {sorted(unknown)}; have {rho.layout.node_order}")
+    mat = rho.matrix
+    dims, labels, nodes = list(rho.layout.dims), list(rho.layout.labels), list(rho.layout.nodes)
+    for node in rho.layout.node_order:
+        if node not in channels:
+            continue
+        chan = channels[node]
+        start = nodes.index(node)
+        count = nodes.count(node)
+        din = int(np.prod(dims[start:start + count]))
+        if chan.input_dim != din:
+            raise ValueError(
+                f"channel for node {node!r} expects input dimension {chan.input_dim}, node has {din}"
+            )
+        before = int(np.prod(dims[:start])) if start else 1
+        after = int(np.prod(dims[start + count:])) if start + count < len(dims) else 1
+        out = None
+        for k in chan.kraus_ops:
+            big = kron(np.eye(before), kron(k, np.eye(after)))
+            term = big @ mat @ big.conj().T
+            out = term if out is None else out + term
+        mat = out
+        dims[start:start + count] = [chan.output_dim]
+        labels[start:start + count] = [node]
+        nodes[start:start + count] = [node]
+    return DensityOperator(mat, SubsystemLayout(tuple(dims), tuple(labels), tuple(nodes)))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Gaussian matrix."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_kraus_channel(din: int, dout: int, n_ops: int, rng: np.random.Generator) -> KrausChannel:
+    """Random channel from an isometry: stacked Gaussian blocks, orthonormalized."""
+    if dout * n_ops < din:
+        raise ValueError(
+            f"no isometry from dimension {din} into {n_ops} blocks of {dout}; "
+            "need dout * n_ops >= din"
+        )
+    g = rng.standard_normal((dout * n_ops, din)) + 1j * rng.standard_normal((dout * n_ops, din))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(tuple(q[i * dout:(i + 1) * dout, :] for i in range(n_ops)))
+
+
+# Closed forms the decomposition is checked against: Bloch vectors, reduced
+# observables, conjugation expansions, product-state CMs and congruences.
+
+
+def bloch_vector(basis: OrthogonalBasis, rho) -> np.ndarray:
+    """Expansion coefficients tr(G_a rho); real for Hermitian rho."""
+    rho = np.asarray(rho)
+    return np.array([np.trace(g @ rho).real for g in basis.elements])
+
+
+def reduced_observable(obs_matrix, dims: tuple[int, int], marginal, keep: int = 2) -> np.ndarray:
+    """Effective single-factor operator of a two-factor observable.
+
+    For ``keep=2`` this is tr_1(A [rho_1 x 1_2]) with ``marginal`` the state
+    of the traced first factor; ``keep=1`` traces the second factor against
+    its marginal instead.
+    """
+    d1, d2 = dims
+    a = np.asarray(obs_matrix, dtype=complex)
+    if a.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"observable shape {a.shape} does not match factor dims {dims}")
+    rho = np.asarray(marginal, dtype=complex)
+    a4 = a.reshape(d1, d2, d1, d2)
+    if keep == 2:
+        if rho.shape != (d1, d1):
+            raise ValueError(f"marginal shape {rho.shape} does not match traced dimension {d1}")
+        return np.einsum("ijml,mi->jl", a4, rho)
+    if keep == 1:
+        if rho.shape != (d2, d2):
+            raise ValueError(f"marginal shape {rho.shape} does not match traced dimension {d2}")
+        return np.einsum("ijkn,nj->ik", a4, rho)
+    raise ValueError(f"keep must be 1 or 2, got {keep}")
+
+
+def orthogonal_from_unitary(u, basis: OrthogonalBasis) -> np.ndarray:
+    """Real matrix O with U^dag G_a U = sum_b O_ab G_b; O is orthogonal."""
+    u = np.asarray(u, dtype=complex)
+    d = basis.dim
+    if u.shape != (d, d):
+        raise ValueError(f"unitary shape {u.shape} does not match basis dimension {d}")
+    dev = float(np.abs(u.conj().T @ u - np.eye(d)).max())
+    if dev > 1e-9:
+        raise ValueError(f"input is not unitary: max|U^dag U - 1| = {dev:.3e}")
+    conj = [u.conj().T @ g @ u for g in basis]
+    o = np.array([[np.trace(cg @ g).real / d for g in basis] for cg in conj])
+    return o
+
+
+def product_state_cm(factors: Sequence[tuple[Sequence, np.ndarray]],
+                     node_label: str = "P") -> BlockCovarianceMatrix:
+    """Closed-form CM of product observables on a product state.
+
+    ``factors`` lists ``(observables, marginal)`` pairs, one per tensor
+    factor.  The result equals the CM of all lexicographic observable
+    products on the product of the marginals, computed without ever
+    building the product state:
+
+        Gamma = prod_x (|a_x><a_x| + Gamma_x)  -  prod_x |a_x><a_x|  (Kronecker products)
+
+    with the complex per-factor CMs, symmetrized at the end.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    with_cm = np.ones((1, 1), dtype=complex)
+    rank_one = np.ones((1, 1), dtype=complex)
+    for obs, marg in factors:
+        a, gamma = moments(obs, marg)
+        outer = np.outer(a, a)
+        with_cm = np.kron(with_cm, outer + gamma)
+        rank_one = np.kron(rank_one, outer)
+    total = (with_cm - rank_one).real
+    return BlockCovarianceMatrix(total, (total.shape[0],), (node_label,))
+
+
+def recombine_cm(gamma: BlockCovarianceMatrix, c,
+                 col_sizes: Sequence[int] | None = None) -> BlockCovarianceMatrix:
+    """Congruence C^T Gamma C for recombined observables M_j = sum_i C_ij N_i.
+
+    With square ``c`` the block layout carries over; for rectangular ``c``
+    pass ``col_sizes`` giving the new per-node block sizes.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or c.shape[0] != gamma.dim:
+        raise ValueError(f"recombination matrix shape {c.shape} does not match CM dimension {gamma.dim}")
+    if col_sizes is None:
+        if c.shape[1] != c.shape[0]:
+            raise ValueError("rectangular recombination needs explicit col_sizes")
+        col_sizes = gamma.block_sizes
+    col_sizes = tuple(int(s) for s in col_sizes)
+    if sum(col_sizes) != c.shape[1] or len(col_sizes) != len(gamma.node_labels):
+        raise ValueError(f"col_sizes {col_sizes} do not match recombination matrix {c.shape}")
+    return BlockCovarianceMatrix(c.T @ gamma.matrix @ c, col_sizes, gamma.node_labels)
+
+
+def ghz_statistics_margin(fidelity: float, means_rest: np.ndarray, correlators_rest: np.ndarray) -> float:
+    """Trace-norm margin for given sigma_z statistics of the GHZ-orthogonal rest.
+
+    A state F |GHZ><GHZ| + (1-F) rho_rest has one-body means (1-F) z_x and
+    two-body correlators F + (1-F) w_xy in terms of the rest's statistics
+    (z, w); the margin depends on those statistics only.
+    """
+    u = 1.0 - fidelity
+    z = np.asarray(means_rest, dtype=float)
+    w = np.asarray(correlators_rest, dtype=float)
+    means = u * z
+    lhs = 3.0 - float(means @ means)
+    prods = np.array([means[0] * means[1], means[0] * means[2], means[1] * means[2]])
+    rhs = 2.0 * float(np.abs(fidelity + u * w - prods).sum())
+    return lhs - rhs
+
+
+def witness_from_parts(parts: Sequence[np.ndarray], remainder: np.ndarray,
+                       problem: FeasibilityProblem) -> list[np.ndarray]:
+    """Fold a block-diagonal PSD remainder into per-source summands.
+
+    Each node's remainder block is assigned to the first summand whose mask
+    carries that node; adding a PSD block-diagonal piece preserves PSD-ness,
+    so a valid source decomposition with separate remainder becomes a valid
+    witness for the equality-form constraints.
+    """
+    out = [np.asarray(t, dtype=float).copy() for t in parts]
+    for x in problem.gamma.node_labels:
+        sl = problem.gamma.node_slice(x)
+        for k, mask in enumerate(problem.masks):
+            if x in mask.free_nodes:
+                out[k][sl, sl] += remainder[sl, sl]
+                break
+        else:
+            raise ValueError(f"no summand carries node {x!r}")
+    return out
 
 
 # Plain Dykstra, the solver before Anderson acceleration: the reference for

@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from netcm.covariance import covariance_matrix, moments, product_state_cm, recombine_cm
+from netcm.covariance import covariance_matrix, moments
 from netcm.criteria import (
     btn_cm_residual,
     btn_decompose,
     ghz_fidelity_bound,
+    WhiteNoiseScan,
     trace_norm_criterion,
-    visibility_threshold,
     xi_report,
 )
 from netcm.feasibility import FeasibilityProblem, solve, verify_witness
@@ -26,27 +26,35 @@ from netcm.observables import (
     OrthogonalBasis,
     full_product_set,
     named_observable_set,
-    orthogonal_from_unitary,
-    pauli_basis,
+    orthogonal_basis,
     product_observable_set,
 )
 from netcm.states import (
     DensityOperator,
-    apply_local_channels,
-    apply_local_unitaries,
     btn_assemble,
-    convex_mix,
     dicke_state,
     ghz_state,
     mix_white_noise,
     random_density,
-    random_kraus_channel,
     random_source,
-    random_unitary,
     split_nodes,
     w_state,
 )
 from netcm.topology import line_topology, triangle_topology
+
+from conftest import (
+    apply_local_channels,
+    apply_local_unitaries,
+    convex_mix,
+    expectation,
+    marginal,
+    orthogonal_from_unitary,
+    product_state_cm,
+    random_kraus_channel,
+    random_unitary,
+    recombine_cm,
+    reduced_observable,
+)
 
 N_INSTANCES = 200
 
@@ -59,8 +67,8 @@ def announce(number, passed, text):
 def ghz_threshold(parties, topology, tol=1e-6):
     """Trace-norm visibility threshold of the GHZ state with one sigma_z per party."""
     rho = ghz_state(parties, 2)
-    return visibility_threshold(rho, named_observable_set("pauli-z", rho.layout), "trace-norm",
-                                topology, tol=tol)
+    return WhiteNoiseScan(rho, named_observable_set("pauli-z", rho.layout), "trace-norm",
+                          topology).threshold(tol)
 
 
 def test_acceptance_1_ghz3_threshold():
@@ -74,8 +82,8 @@ def test_acceptance_1_ghz3_threshold():
 def test_acceptance_2_w_threshold():
     start = time.perf_counter()
     rho = w_state()
-    thr = visibility_threshold(rho, named_observable_set("w-set", rho.layout),
-                               "trace-norm", triangle_topology(), tol=1e-6)
+    thr = WhiteNoiseScan(rho, named_observable_set("w-set", rho.layout),
+                         "trace-norm", triangle_topology()).threshold(1e-6)
     elapsed = time.perf_counter() - start
     ok = abs(thr - 0.75) <= 1e-6 and elapsed < 1.0
     announce(2, ok, f"w-state threshold {thr:.7f} (target 0.75 +- 1e-6), {elapsed:.2f} s")
@@ -220,7 +228,7 @@ class TestAcceptance9Properties:
         # defect of the node-diagonal block equals the Kronecker product of
         # the complex single-factor CMs (real part taken after the product)
         start = time.perf_counter()
-        basis = list(pauli_basis())
+        basis = list(orthogonal_basis(2))
         for _ in range(N_INSTANCES):
             srcs = [random_source(2, rng) for _ in range(3)]
             rho = btn_assemble(*srcs)
@@ -231,8 +239,8 @@ class TestAcceptance9Properties:
             for x, f1, f2 in (("A", "A1", "A2"), ("B", "B1", "B2"), ("C", "C1", "C2")):
                 defect = (gamma.matrix[sl[x], sl[x]]
                           - dec.t_c[sl[x], sl[x]] - dec.t_b[sl[x], sl[x]] - dec.t_a[sl[x], sl[x]])
-                _, c1 = moments(basis, rho.marginal([f1]))
-                _, c2 = moments(basis, rho.marginal([f2]))
+                _, c1 = moments(basis, marginal(rho, [f1]))
+                _, c2 = moments(basis, marginal(rho, [f2]))
                 assert np.abs(defect - np.kron(c1, c2).real).max() <= 1e-9
         self._record("remainder Kronecker identity", start)
 
@@ -240,7 +248,7 @@ class TestAcceptance9Properties:
         # node-diagonal source part is |a1><a1| x Gamma(A2); the cross block
         # factorizes into the pair CM scaled by both leftover Bloch vectors
         start = time.perf_counter()
-        basis = list(pauli_basis())
+        basis = list(orthogonal_basis(2))
         for _ in range(N_INSTANCES):
             srcs = [random_source(2, rng) for _ in range(3)]
             rho = btn_assemble(*srcs)
@@ -248,18 +256,18 @@ class TestAcceptance9Properties:
             gamma = covariance_matrix(obs, rho)
             dec = btn_decompose(srcs)
             sl = {x: slice(16 * i, 16 * (i + 1)) for i, x in enumerate("ABC")}
-            a1, _ = moments(basis, rho.marginal(["A1"]))
-            b2, _ = moments(basis, rho.marginal(["B2"]))
-            gamma_a2 = moments(basis, rho.marginal(["A2"]))[1].real
+            a1, _ = moments(basis, marginal(rho, ["A1"]))
+            b2, _ = moments(basis, marginal(rho, ["B2"]))
+            gamma_a2 = moments(basis, marginal(rho, ["A2"]))[1].real
             assert np.abs(dec.t_c[sl["A"], sl["A"]]
                           - np.kron(np.outer(a1, a1), gamma_a2)).max() <= 1e-10
-            pair = rho.marginal(["A2", "B1"])
+            pair = marginal(rho, ["A2", "B1"])
             cross = np.zeros((4, 4))
             for i, gi in enumerate(basis):
                 for j, gj in enumerate(basis):
-                    cross[i, j] = (pair.expectation(np.kron(gi, gj))
-                                   - np.trace(gi @ rho.marginal(["A2"]).matrix).real
-                                   * np.trace(gj @ rho.marginal(["B1"]).matrix).real)
+                    cross[i, j] = (expectation(np.kron(gi, gj), pair)
+                                   - np.trace(gi @ marginal(rho, ["A2"]).matrix).real
+                                   * np.trace(gj @ marginal(rho, ["B1"]).matrix).real)
             want = np.einsum("a,bg,d->abgd", a1, cross, b2).reshape(16, 16)
             assert np.abs(gamma.block("A", "B") - want).max() <= 1e-10
         self._record("rank-one block structures", start)
@@ -267,19 +275,17 @@ class TestAcceptance9Properties:
     def test_reduced_observable_cross_block_identity(self, rng):
         # the off-diagonal block evaluated on the shared source state with
         # reduced observables equals the direct cross block
-        from netcm.observables import reduced_observable
-
         start = time.perf_counter()
         for _ in range(N_INSTANCES):
             srcs = [random_source(2, rng) for _ in range(3)]
             rho = btn_assemble(*srcs)
             obs = full_product_set(rho.layout)
             gamma = covariance_matrix(obs, rho)
-            marg_a1 = rho.marginal(["A1"]).matrix
-            marg_b2 = rho.marginal(["B2"]).matrix
-            marg_a2 = rho.marginal(["A2"]).matrix
-            marg_b1 = rho.marginal(["B1"]).matrix
-            pair = rho.marginal(["A2", "B1"]).matrix
+            marg_a1 = marginal(rho, ["A1"]).matrix
+            marg_b2 = marginal(rho, ["B2"]).matrix
+            marg_a2 = marginal(rho, ["A2"]).matrix
+            marg_b1 = marginal(rho, ["B1"]).matrix
+            pair = marginal(rho, ["A2", "B1"]).matrix
             a_red = [reduced_observable(o.matrix, (2, 2), marg_a1, 2)
                      for o in obs.node_observables("A")]
             b_red = [reduced_observable(o.matrix, (2, 2), marg_b2, 1)
@@ -299,8 +305,8 @@ class TestAcceptance9Properties:
             layout = SubsystemLayout((2, 2), ("P1", "P2"), ("P", "P"))
             rho = DensityOperator(np.kron(r1, r2), layout)
             direct = covariance_matrix(
-                product_observable_set([pauli_basis(), pauli_basis()], "P"), rho)
-            closed = product_state_cm([(list(pauli_basis()), r1), (list(pauli_basis()), r2)])
+                product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "P"), rho)
+            closed = product_state_cm([(list(orthogonal_basis(2)), r1), (list(orthogonal_basis(2)), r2)])
             assert np.abs(closed.matrix - direct.matrix).max() <= 1e-9
         self._record("product-state CM closed form", start)
 
@@ -309,7 +315,7 @@ class TestAcceptance9Properties:
 
         start = time.perf_counter()
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        base = [Observable(p, x) for x in "AB" for p in pauli_basis()]
+        base = [Observable(p, x) for x in "AB" for p in orthogonal_basis(2)]
         obs = ObservableSet(tuple(base))
         mats = [embed(o, layout) for o in base]
         for _ in range(N_INSTANCES):
@@ -346,7 +352,7 @@ class TestAcceptance9Properties:
     def test_cm_concavity_under_mixing(self, rng):
         start = time.perf_counter()
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        obs = ObservableSet(tuple(Observable(p, x) for x in "AB" for p in pauli_basis()))
+        obs = ObservableSet(tuple(Observable(p, x) for x in "AB" for p in orthogonal_basis(2)))
         for _ in range(N_INSTANCES):
             states = [DensityOperator(random_density(4, rng), layout) for _ in range(3)]
             w = rng.random(3)

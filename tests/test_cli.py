@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import netcm
 from netcm.cli import main, report_schema
 from netcm.ncmx import write_matrix
 from netcm.states import DensityOperator, NoisyPureState, ghz_state, mix_white_noise, random_density
@@ -32,6 +37,16 @@ class TestCheck:
         assert report["lhs"] == pytest.approx(3.0)
         assert report["rhs"] == pytest.approx(3.6)
         assert report["pass"] is False
+
+    def test_module_entry_point_in_a_fresh_process(self, tmp_path):
+        # run from outside the checkout with only the package's own directory on the path
+        env = dict(os.environ, PYTHONPATH=str(Path(netcm.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netcm.cli", "check", "--state", "ghz", "--parties", "3",
+             "--visibility", "0.6", "--observables", "pauli-z", "--topology", "triangle"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is False
 
     def test_ghz_below_threshold_passes(self, capsys):
         code = run(["check", "--state", "ghz", "--visibility", "0.4",
@@ -525,6 +540,23 @@ class TestFeasibility:
         assert code == 64
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [[-1, 2, 2], [1.5, 1, 0.5], [True, 1, 1]])
+    def test_bad_sidecar_block_sizes_are_64(self, tmp_path, capsys, sizes):
+        from netcm.covariance import covariance_matrix, save_cm
+        from netcm.observables import named_observable_set
+
+        rho = mix_white_noise(ghz_state(3, 2), 0.3)
+        g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+        save_cm(g, tmp_path / "g.ncmx")
+        side = tmp_path / "g.ncmx.json"
+        side.write_text(json.dumps(dict(json.loads(side.read_text()), block_sizes=sizes)))
+        out = tmp_path / "report.json"
+        code = run(["feasibility", "--cm-file", str(tmp_path / "g.ncmx"),
+                    "--topology", "triangle", "--output", str(out)])
+        assert code == 64
+        assert not out.exists()
+        assert f"block sizes must be integers >= 0, got {sizes}" in capsys.readouterr().err
 
     def test_cm_file_input(self, tmp_path, capsys):
         from netcm.covariance import covariance_matrix, save_cm

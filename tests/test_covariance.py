@@ -9,8 +9,6 @@ from netcm.covariance import (
     covariance_matrix,
     load_cm,
     moments,
-    product_state_cm,
-    recombine_cm,
     save_cm,
     white_noise_moments,
 )
@@ -24,7 +22,6 @@ from netcm.observables import (
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    pauli_basis,
     product_observable_set,
 )
 from netcm.states import (
@@ -32,7 +29,6 @@ from netcm.states import (
     bell_pair,
     btn_assemble,
     cluster4_state,
-    convex_mix,
     ghz_state,
     mix_white_noise,
     random_density,
@@ -40,7 +36,15 @@ from netcm.states import (
     w_state,
 )
 
-from conftest import brute_force_cm
+from conftest import (
+    brute_force_cm,
+    convex_mix,
+    node_marginal,
+    orthogonal_from_unitary,
+    product_state_cm,
+    random_unitary,
+    recombine_cm,
+)
 
 
 def ghz_z_oracle(v):
@@ -95,7 +99,7 @@ class TestCovarianceMatrix:
         obs = full_product_set(rho.layout)
         g = covariance_matrix(obs, rho)
         for x in "ABC":
-            marg = rho.node_marginal(x)
+            marg = node_marginal(rho, x)
             mats = [o.matrix for o in obs.node_observables(x)]
             assert np.abs(g.block(x, x) - moments(mats, marg)[1].real).max() <= 1e-12
 
@@ -173,15 +177,15 @@ class TestMeanVector:
 
     def test_ground_state_bloch(self):
         rho = np.diag([1.0, 0.0])
-        assert np.allclose(moments(list(pauli_basis()), rho)[0], [1.0, 0.0, 0.0, 1.0])
+        assert np.allclose(moments(list(orthogonal_basis(2)), rho)[0], [1.0, 0.0, 0.0, 1.0])
 
 
 class TestProductStateCm:
     def test_two_factor_closed_form(self, rng):
         # explicit second form: |a><a| x G2 + G1 x |b><b| + G1 x G2
         r1, r2 = random_density(2, rng), random_density(2, rng)
-        obs1 = list(pauli_basis())
-        obs2 = list(pauli_basis())
+        obs1 = list(orthogonal_basis(2))
+        obs2 = list(orthogonal_basis(2))
         got = product_state_cm([(obs1, r1), (obs2, r2)])
         (a, g1), (b, g2) = moments(obs1, r1), moments(obs2, r2)
         want = (np.kron(np.outer(a, a), g2) + np.kron(g1, np.outer(b, b))
@@ -190,11 +194,11 @@ class TestProductStateCm:
 
     def test_matches_direct_cm(self, rng):
         r1, r2 = random_density(2, rng), random_density(3, rng)
-        obs1, obs2 = list(pauli_basis()), list(orthogonal_basis(3))
+        obs1, obs2 = list(orthogonal_basis(2)), list(orthogonal_basis(3))
         layout = SubsystemLayout((2, 3), ("P1", "P2"), ("P", "P"))
         rho = DensityOperator(np.kron(r1, r2), layout)
         direct = covariance_matrix(product_observable_set(
-            [pauli_basis(), orthogonal_basis(3)], "P"), rho)
+            [orthogonal_basis(2), orthogonal_basis(3)], "P"), rho)
         closed = product_state_cm([(obs1, r1), (obs2, r2)])
         assert np.abs(closed.matrix - direct.matrix).max() <= 1e-9
 
@@ -203,8 +207,8 @@ class TestProductStateCm:
         layout = SubsystemLayout((2, 2, 2), ("P1", "P2", "P3"), ("P", "P", "P"))
         rho = DensityOperator(np.kron(marginals[0], np.kron(marginals[1], marginals[2])), layout)
         direct = covariance_matrix(
-            product_observable_set([pauli_basis()] * 3, "P"), rho)
-        closed = product_state_cm([(list(pauli_basis()), m) for m in marginals])
+            product_observable_set([orthogonal_basis(2)] * 3, "P"), rho)
+        closed = product_state_cm([(list(orthogonal_basis(2)), m) for m in marginals])
         assert np.abs(closed.matrix - direct.matrix).max() <= 1e-9
 
     def test_maximally_mixed_zero_means(self):
@@ -314,9 +318,6 @@ class TestRecombine:
     def test_unitary_expansion_matches_conjugated_observable_cm(self, rng):
         # direct-CM oracle: the CM of conjugated basis elements U^dag G U
         # equals the congruence with the expansion matrix of the conjugation
-        from netcm.observables import orthogonal_from_unitary
-        from netcm.states import random_density, random_unitary
-
         layout = SubsystemLayout((3,), ("A",))
         basis = orthogonal_basis(3)
         obs = ObservableSet(tuple(Observable(g, "A") for g in basis))

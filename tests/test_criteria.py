@@ -15,9 +15,7 @@ from netcm.criteria import (
     btn_decompose,
     btn_residual_report,
     ghz_fidelity_bound,
-    ghz_statistics_margin,
     trace_norm_criterion,
-    visibility_threshold,
     xi_matrix,
     xi_report,
 )
@@ -46,7 +44,15 @@ from netcm.states import (
 from netcm.linalg import SubsystemLayout, psd_margin
 from netcm.topology import NetworkTopology, block_pattern, line_topology, triangle_topology
 
-from conftest import _max_margin_statistics, _mean_grid, reduced_observable_decomposition
+from conftest import (
+    _max_margin_statistics,
+    _mean_grid,
+    convex_mix,
+    ghz_statistics_margin,
+    node_marginal,
+    recombine_cm,
+    reduced_observable_decomposition,
+)
 
 
 class TestTopology:
@@ -137,8 +143,6 @@ class TestTraceNormCriterion:
 
     def test_invariant_under_orthogonal_recombination(self, rng):
         # per-node orthogonal recombination leaves trace and block norms alone
-        from netcm.covariance import recombine_cm
-
         rho = mix_white_noise(w_state(), 0.8)
         g = covariance_matrix(named_observable_set("w-set", rho.layout), rho)
         rep = trace_norm_criterion(g, triangle_topology())
@@ -217,15 +221,21 @@ def test_trace_norm_holds_on_networks_with_three_node_sources(rng):
 class TestVisibilityThreshold:
     def test_ghz3(self):
         rho = ghz_state(3, 2)
-        thr = visibility_threshold(rho, named_observable_set("pauli-z", rho.layout),
-                                   "trace-norm", triangle_topology(), tol=1e-6)
+        thr = WhiteNoiseScan(rho, named_observable_set("pauli-z", rho.layout),
+                             "trace-norm", triangle_topology()).threshold(1e-6)
         assert thr == pytest.approx(0.5, abs=1e-6)
 
     def test_no_sign_change_raises(self):
         layout = ghz_state(3, 2).layout
         with pytest.raises(ValueError, match="sign change"):
-            visibility_threshold(maximally_mixed(layout), named_observable_set("pauli-z", layout),
-                                 "trace-norm", triangle_topology())
+            WhiteNoiseScan(maximally_mixed(layout), named_observable_set("pauli-z", layout),
+                           "trace-norm", triangle_topology()).threshold()
+
+    def test_trace_norm_needs_topology(self):
+        # no default: a triangle guessed from the nodes fails on any other node count
+        rho = ghz_state(4, 2)
+        with pytest.raises(ValueError, match="the trace-norm criterion needs a topology"):
+            WhiteNoiseScan(rho, named_observable_set("pauli-z", rho.layout), "trace-norm")
 
 
 class TestTrianglePass:
@@ -432,7 +442,7 @@ class TestGhzStatisticsMargin:
         # the diagonal family (phase-flipped GHZ plus the six intermediate
         # basis strings) leaves the criterion violated
         from netcm.linalg import SubsystemLayout
-        from netcm.states import DensityOperator, convex_mix, pure_state
+        from netcm.states import DensityOperator, pure_state
 
         layout = ghz_state(3, 2).layout
         minus = np.zeros(8)
@@ -458,14 +468,12 @@ class TestGhzStatisticsMargin:
         # the statistics formula reproduces the criterion margin of a real mixture
         ghz = ghz_state(3, 2)
         rest = mix_white_noise(w_state(), 1.0)  # <GHZ|W> = 0
-        from netcm.states import convex_mix
-
         f = 0.4
         rho = convex_mix([ghz, rest], [f, 1 - f])
         g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
         rep = trace_norm_criterion(g, triangle_topology())
         z = np.array([moments([np.array([[1, 0], [0, -1]], dtype=complex)],
-                              rest.node_marginal(x))[0][0] for x in "ABC"])
+                              node_marginal(rest, x))[0][0] for x in "ABC"])
         w_corr = np.array([
             covariance_matrix(named_observable_set("pauli-z", rest.layout), rest).block(x, y)[0, 0]
             + z["ABC".index(x)] * z["ABC".index(y)]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import plain_dykstra
+from conftest import plain_dykstra, witness_from_parts
 from netcm import feasibility
 
 from netcm.covariance import BlockCovarianceMatrix, covariance_matrix
@@ -11,12 +11,11 @@ from netcm.criteria import btn_decompose, trace_norm_criterion
 from netcm.feasibility import (
     FeasibilityProblem,
     InfeasibilityCertificate,
-    affine_project,
+    _Stack,
     export_witness,
     solve,
     verify_certificate,
     verify_witness,
-    witness_from_parts,
 )
 from netcm.linalg import SubsystemLayout
 from netcm.ncmx import read_matrix
@@ -400,6 +399,12 @@ class TestCertificate:
         assert verify_certificate(relaxed, out.certificate)
 
 
+def stacked_affine_project(ts, problem):
+    """The solver's stacked projection onto the affine set, on full n x n summands."""
+    stack = _Stack(problem)
+    return list(stack.to_full(stack.affine(stack.from_full(ts))))
+
+
 def loop_affine_project(ts, problem):
     """Block-by-block loop form of the affine projection, the reference for the stacked one."""
     gamma = problem.gamma
@@ -435,21 +440,21 @@ class TestAffineProjection:
             n = pr.gamma.dim
             ts = [rng.standard_normal((n, n)) for _ in pr.masks]
             ts = [0.5 * (t + t.T) for t in ts]
-            for a, b in zip(affine_project(ts, pr), loop_affine_project(ts, pr)):
+            for a, b in zip(stacked_affine_project(ts, pr), loop_affine_project(ts, pr)):
                 assert np.abs(a - b).max() <= 1e-12
 
     def test_idempotent(self, rng):
         prob, _, _ = btn_problem(rng)
         ts = [rng.standard_normal((48, 48)) for _ in range(3)]
         ts = [0.5 * (t + t.T) for t in ts]
-        once = affine_project(ts, prob)
-        twice = affine_project(once, prob)
+        once = stacked_affine_project(ts, prob)
+        twice = stacked_affine_project(once, prob)
         for a, b in zip(once, twice):
             assert np.abs(a - b).max() <= 1e-12
 
     def test_constraints_hold_after_projection(self, rng):
         prob, _, _ = btn_problem(rng)
-        ts = affine_project([rng.standard_normal((48, 48)) for _ in range(3)], prob)
+        ts = stacked_affine_project([rng.standard_normal((48, 48)) for _ in range(3)], prob)
         sl = {x: prob.gamma.node_slice(x) for x in "ABC"}
         total = sum(t[sl["A"], sl["A"]] for t in ts)
         assert np.abs(total - prob.gamma.block("A", "A")).max() <= 1e-12

@@ -17,9 +17,8 @@ from netcm.linalg import (
     trace_norm,
 )
 from netcm.observables import PAULI_Z
-from netcm.states import random_unitary
 
-from conftest import naive_partial_trace, sequential_partial_trace
+from conftest import naive_partial_trace, random_unitary, sequential_partial_trace
 
 
 def complex_matrix(rng, n, m=None):

@@ -13,12 +13,11 @@ from netcm.observables import (
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    orthogonal_from_unitary,
-    pauli_basis,
     product_observable_set,
-    reduced_observable,
 )
-from netcm.states import ghz_state, random_density, random_unitary, split_nodes, w_state
+from netcm.states import ghz_state, random_density, split_nodes, w_state
+
+from conftest import bloch_vector, orthogonal_from_unitary, random_unitary, reduced_observable
 
 
 def gram(elements):
@@ -27,19 +26,19 @@ def gram(elements):
 
 class TestPauliBasis:
     def test_orthogonality(self):
-        b = pauli_basis()
+        b = orthogonal_basis(2)
         assert np.trace(PAULI_X @ PAULI_Y).real == pytest.approx(0.0)
         assert np.trace(PAULI_Z @ PAULI_Z).real == pytest.approx(2.0)
         assert len(b) == 4
 
     def test_identity_first(self):
-        assert np.array_equal(pauli_basis()[0], np.eye(2))
+        assert np.array_equal(orthogonal_basis(2)[0], np.eye(2))
 
 
 class TestOrthogonalBasis:
     def test_d2_is_pauli(self):
         b = orthogonal_basis(2)
-        for got, want in zip(b, pauli_basis()):
+        for got, want in zip(b, (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)):
             assert np.abs(got - want).max() <= 1e-12
 
     def test_d4_gram(self):
@@ -69,7 +68,7 @@ class TestOrthogonalBasis:
     def test_bloch_vector_roundtrip(self, rng):
         b = orthogonal_basis(3)
         rho = random_density(3, rng)
-        coeffs = b.bloch_vector(rho)
+        coeffs = bloch_vector(b, rho)
         assert coeffs[0] == pytest.approx(1.0)  # identity component = trace
         back = sum(c * el for c, el in zip(coeffs, b)) / 3
         assert np.abs(back - rho).max() <= 1e-10
@@ -116,15 +115,15 @@ class TestEmbed:
 
 class TestProductSet:
     def test_qubit_pair_count(self):
-        s = product_observable_set([pauli_basis(), pauli_basis()], "A")
+        s = product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "A")
         assert len(s) == 16
 
     def test_identity_first(self):
-        s = product_observable_set([pauli_basis(), pauli_basis()], "A")
+        s = product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "A")
         assert np.allclose(s.observables[0].matrix, np.eye(4))
 
     def test_product_norm(self):
-        s = product_observable_set([pauli_basis(), pauli_basis()], "A")
+        s = product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "A")
         mats = [o.matrix for o in s]
         assert np.abs(gram(mats) - 4.0 * np.eye(16)).max() <= 1e-10
 
@@ -143,8 +142,8 @@ class TestProductSet:
 class TestReducedObservable:
     def test_product_observable_reduces_to_scaled_factor(self, rng):
         rho1 = random_density(2, rng)
-        for ga in pauli_basis():
-            for gb in pauli_basis():
+        for ga in orthogonal_basis(2):
+            for gb in orthogonal_basis(2):
                 red = reduced_observable(kron(ga, gb), (2, 2), rho1, keep=2)
                 want = np.trace(ga @ rho1) * gb
                 assert np.abs(red - want).max() <= 1e-12
@@ -178,7 +177,7 @@ class TestReducedObservable:
 
 class TestOrthogonalFromUnitary:
     def test_identity(self):
-        o = orthogonal_from_unitary(np.eye(2), pauli_basis())
+        o = orthogonal_from_unitary(np.eye(2), orthogonal_basis(2))
         assert np.abs(o - np.eye(4)).max() <= 1e-12
 
     def test_orthogonal(self, rng):
@@ -189,7 +188,7 @@ class TestOrthogonalFromUnitary:
 
     def test_hadamard_maps_z_to_x(self):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        o = orthogonal_from_unitary(h, pauli_basis())
+        o = orthogonal_from_unitary(h, orthogonal_basis(2))
         # hand expansion: H z H = x, H x H = z, H y H = -y
         assert np.allclose(o[3], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(o[1], [0.0, 0.0, 0.0, 1.0], atol=1e-12)
@@ -212,7 +211,7 @@ class TestOrthogonalFromUnitary:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            orthogonal_from_unitary(np.diag([1.0, 2.0]), pauli_basis())
+            orthogonal_from_unitary(np.diag([1.0, 2.0]), orthogonal_basis(2))
 
 
 class TestNamedSets:

@@ -1,0 +1,52 @@
+"""What the package promises its users: the names the benchmark and the
+scripts import, and the README's Python example."""
+
+import ast
+import contextlib
+import importlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def netcm_imports(paths):
+    """(file, module, name) for every ``import netcm...`` (name None) and
+    ``from netcm... import name`` in the given files."""
+    out = []
+    for path in paths:
+        where = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), where)):
+            if isinstance(node, ast.Import):
+                out += [(where, a.name, None) for a in node.names if a.name.split(".")[0] == "netcm"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "netcm":
+                out += [(where, node.module, a.name) for a in node.names]
+    return out
+
+
+def resolves(module, name) -> bool:
+    try:
+        mod = importlib.import_module(module)
+        # ``from netcm import ncmx`` names a submodule
+        return name is None or hasattr(mod, name) or bool(importlib.import_module(f"{module}.{name}"))
+    except ImportError:
+        return False
+
+
+def test_benchmark_and_script_imports_resolve():
+    imports = netcm_imports(sorted((ROOT / "perfbench").glob("*.py"))
+                            + sorted((ROOT / "scripts").glob("*.py")))
+    assert {f.partition("/")[0] for f, _, _ in imports} == {"perfbench", "scripts"}
+    missing = [f"{f}: {m}{'.' + n if n else ''}" for f, m, n in imports if not resolves(m, n)]
+    assert not missing, missing
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue()

@@ -43,7 +43,7 @@ from .covariance import (
     moments,
     save_cm,
 )
-from .topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
+from .topology import NetworkTopology, line_topology, triangle_topology
 from .criteria import (
     BtnDecomposition,
     CriterionReport,

@@ -73,10 +73,8 @@ def state_from_spec(spec: dict) -> DensityOperator:
     ``{"family": "ghz|w|dicke|cluster4|bell|btn|file", "params": {...},
     "visibility": v, "split": [d1, d2]}``
     """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise SpecError(f"state spec must be an object with a 'family' key, got {spec!r}")
+    params = _spec_params(spec)
     family = spec["family"]
-    params = spec.get("params", {})
     if family not in STATE_FAMILIES:
         raise SpecError(f"unknown state family {family!r}; known: {STATE_FAMILIES}")
     try:
@@ -114,6 +112,16 @@ def state_from_spec(spec: dict) -> DensityOperator:
     return rho
 
 
+def _spec_params(spec) -> dict:
+    """The params of a state spec, after checking that the spec and its params are objects."""
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise SpecError(f"state spec must be an object with a 'family' key, got {spec!r}")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecError(f"state spec params must be an object, got {params!r}")
+    return params
+
+
 def _btn_sources(params: dict) -> list[DensityOperator]:
     """The three source states (a, b, c) of a btn spec's params."""
     sub = params.get("sources")
@@ -143,6 +151,7 @@ def state_spec_from_args(args) -> dict:
         if text.startswith("@"):
             text = Path(text[1:]).read_text()
         spec = json.loads(text)
+        _spec_params(spec)
     elif args.state_file:
         if not args.dims:
             raise SpecError("--state-file needs --dims")
@@ -432,8 +441,7 @@ def cmd_feasibility(args) -> int:
         gamma = covariance_matrix(obs, rho)
         topo = topology_from_spec(args.topology, rho.layout.node_order)
     problem = FeasibilityProblem(gamma, topo)
-    outcome = solve(problem, tol=args.tolerance, max_iter=args.max_iter,
-                    allow_diagonal_slack=args.slack)
+    outcome = solve(problem, tol=args.tolerance, max_iter=args.max_iter)
     manifest_path = None
     if args.witness_dir:
         manifest_path = str(export_witness(problem, outcome, args.witness_dir))
@@ -532,8 +540,6 @@ def _add_feasibility_args(p: argparse.ArgumentParser):
     p.add_argument("--cm-file", help="NCMX covariance matrix (with JSON sidecar)")
     p.add_argument("--max-iter", type=int, default=50000)
     p.add_argument("--witness-dir", help="directory for witness export")
-    p.add_argument("--slack", action="store_true",
-                   help="allow a PSD block-diagonal slack (diagonal <= instead of =)")
 
 
 def _add_output_arg(p: argparse.ArgumentParser):
@@ -595,10 +601,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SpecError as exc:
-        print(f"netcm: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # SpecError and JSONDecodeError are ValueErrors
         print(f"netcm: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except OSError as exc:

@@ -203,5 +203,13 @@ def load_cm(path) -> BlockCovarianceMatrix:
     m = ncmx.read_matrix(path)
     if np.abs(m.imag).max(initial=0.0) > 1e-12:
         raise ValueError(f"{path}: covariance matrix has nonzero imaginary parts")
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    return BlockCovarianceMatrix(m.real, tuple(meta["block_sizes"]), tuple(meta["node_labels"]))
+    side = path.with_suffix(path.suffix + ".json")
+    meta = json.loads(side.read_text())
+    if not isinstance(meta, dict):
+        meta = {}
+    labels, sizes = meta.get("node_labels"), meta.get("block_sizes")
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+            and isinstance(sizes, list)):
+        raise ValueError(f"{side}: the sidecar needs an object with a list of strings "
+                         "'node_labels' and a list 'block_sizes'")
+    return BlockCovarianceMatrix(m.real, tuple(sizes), tuple(labels))

@@ -1,7 +1,8 @@
 """Numerical feasibility test for the source block decomposition of a CM.
 
-Whether a covariance matrix splits into per-source PSD summands (off-diagonal
-blocks fixed, diagonal blocks free but summing to the CM's diagonal blocks)
+Whether a covariance matrix splits into PSD summands, one per source and one
+per node no source feeds (``FeasibilityProblem.summands``; off-diagonal
+blocks fixed, diagonal blocks free but summing to the CM's diagonal blocks),
 is a convex feasibility problem.  It is solved here with Dykstra's
 alternating projections between the product of PSD cones and the affine
 constraint set A, written as a fixed-point map on w = x + p: y = P+(w),
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -56,7 +58,7 @@ import numpy as np
 from . import ncmx
 from .covariance import BlockCovarianceMatrix
 from .linalg import psd_project
-from .topology import NetworkTopology, SourceMask, block_pattern
+from .topology import NetworkTopology
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 50000
@@ -75,11 +77,21 @@ CERTIFICATE_NOTE = "the residual is not a certificate; an infeasible verdict car
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """A CM, an NCDS topology, and the per-source block masks."""
+    """A CM, an NCDS topology, and the summands the CM must split into.
+
+    ``summands`` lists the nodes each summand covers: the topology's sources
+    in order, then ``(x,)`` for each node ``x`` that no source feeds.  A
+    summand carries the CM's off-diagonal blocks between its nodes, free
+    PSD diagonal blocks on them, and zeros elsewhere; the diagonal blocks of
+    the summands covering a node sum to the CM's.  A one-node summand holds
+    its node's whole diagonal block, and a block-diagonal PSD remainder
+    folds into any summand covering its node, so no separate slack summand
+    is needed.
+    """
 
     gamma: BlockCovarianceMatrix
     topology: NetworkTopology
-    masks: tuple[SourceMask, ...] = ()
+    summands: tuple[tuple[str, ...], ...] = field(init=False)
 
     def __post_init__(self):
         if not self.topology.is_ncds():
@@ -88,10 +100,9 @@ class FeasibilityProblem:
             raise ValueError(
                 f"CM nodes {self.gamma.node_labels} do not match topology nodes {self.topology.nodes}"
             )
-        if not self.masks:
-            object.__setattr__(self, "masks", tuple(block_pattern(self.topology)))
-        else:
-            object.__setattr__(self, "masks", tuple(self.masks))
+        fed = {x for s in self.topology.sources for x in s}
+        object.__setattr__(self, "summands", self.topology.sources
+                           + tuple((x,) for x in self.topology.nodes if x not in fed))
 
 
 @dataclass(frozen=True)
@@ -165,57 +176,38 @@ class _Stack:
 
     ``index[k]`` lists the CM rows of summand k's nodes; compact row i of
     summand k is CM row ``index[k][i]`` and rows past ``len(index[k])`` are
-    zero padding.  Entries where ``fixed`` holds are pinned to ``target``
-    (off-diagonal blocks, non-free diagonal blocks, padding); the others are
-    free diagonal-block entries, and ``free`` lists them as flat indices,
-    ``group`` names the (node, row, column) each one belongs to, and the
-    entries of one group must sum to ``diag[group]`` over the ``counts``
-    summands that carry the node.
+    zero padding.  Entries where ``fixed`` holds, off-diagonal blocks and
+    padding, are pinned to ``target``; ``free`` lists the others, the
+    diagonal blocks, as flat indices, ``group`` names the (node, row,
+    column) each one belongs to, and the entries of one group must sum to
+    ``diag[group]`` over the ``counts`` summands that carry the node.
     """
 
     def __init__(self, problem: FeasibilityProblem):
         gamma = problem.gamma
-        nodes = gamma.node_labels
-        sl = _node_slices(gamma)
-        supports = [[x for x in nodes if x in set(mask.free_nodes).union(*mask.fixed_pairs)]
-                    for mask in problem.masks]
-        self.index = [np.array([i for x in sup for i in range(sl[x].start, sl[x].stop)], dtype=int)
-                      for sup in supports]
-        k_count, m = len(problem.masks), max(len(ix) for ix in self.index)
-        size = dict(zip(nodes, gamma.block_sizes))
+        sizes = np.asarray(gamma.block_sizes)
+        node = np.repeat(np.arange(len(sizes)), sizes)  # node index of each CM row
+        first = np.cumsum(sizes) - sizes                # first CM row of each node
+        first_diag = np.cumsum(sizes**2) - sizes**2     # first entry of each node in diag
+        self.index = [np.flatnonzero([gamma.node_labels[j] in s for j in node])
+                      for s in problem.summands]
+        k_count, m = len(self.index), max(len(ix) for ix in self.index)
         self.fixed = np.ones((k_count, m, m), dtype=bool)
         self.target = np.zeros((k_count, m, m))
-        carriers: dict[str, list[tuple[int, int]]] = {x: [] for x in nodes}
-        for k, (mask, sup) in enumerate(zip(problem.masks, supports)):
-            offset, o = {}, 0
-            for x in sup:
-                offset[x], o = o, o + size[x]
-            for x in sup:
-                rx = slice(offset[x], offset[x] + size[x])
-                for y in sup:
-                    ry = slice(offset[y], offset[y] + size[y])
-                    if x == y:
-                        if x in mask.free_nodes:
-                            self.fixed[k, rx, rx] = False
-                            carriers[x].append((k, offset[x]))
-                    elif not mask.zero_block(x, y):
-                        self.target[k, rx, ry] = gamma.block(x, y)
-        free, group, diag, counts = [], [], [], []
-        for x in nodes:
-            if not carriers[x]:
-                raise ValueError(f"node {x!r} is fed by no source; its diagonal block cannot be matched")
-            d = size[x]
-            rows = np.arange(d)
-            first = len(diag)
-            for k, o in carriers[x]:
-                free.append((k * m + o + rows[:, None]) * m + o + rows[None, :])
-                group.append(first + np.arange(d * d).reshape(d, d))
-            diag.extend(gamma.block(x, x).ravel())
-            counts.extend([len(carriers[x])] * (d * d))
-        self.free = np.concatenate([f.ravel() for f in free])
-        self.group = np.concatenate([g.ravel() for g in group])
-        self.diag = np.asarray(diag, dtype=float)
-        self.counts = np.asarray(counts, dtype=float)
+        free, group = [], []
+        for k, ix in enumerate(self.index):
+            same = node[ix][:, None] == node[ix][None, :]  # the diagonal blocks
+            self.fixed[k, :len(ix), :len(ix)] = ~same
+            self.target[k, :len(ix), :len(ix)] = np.where(same, 0.0, gamma.matrix[np.ix_(ix, ix)])
+            i, j = np.nonzero(same)
+            free.append((k * m + i) * m + j)
+            x = node[ix[i]]
+            group.append(first_diag[x] + (ix[i] - first[x]) * sizes[x] + ix[j] - first[x])
+        # groups follow diag's order and, within a group, k rises, so the sums
+        # of _group_sums add the carriers in summand order
+        self.free, self.group = np.concatenate(free), np.concatenate(group)
+        self.diag = np.concatenate([gamma.block(x, x).ravel() for x in gamma.node_labels])
+        self.counts = np.bincount(self.group, minlength=self.diag.size).astype(float)
         self.shape = (k_count, m, m)
         self.n = gamma.dim
 
@@ -270,20 +262,11 @@ def _uncovered_pair(problem: FeasibilityProblem) -> tuple[tuple[str, str] | None
     worst, pair = 0.0, None
     for i, x in enumerate(nodes):
         for y in nodes[i + 1:]:
-            if all(mask.zero_block(x, y) for mask in problem.masks):
+            if not any(x in s and y in s for s in problem.summands):
                 size = float(np.abs(gamma.block(x, y)).max(initial=0.0))
                 if pair is None or size > worst:
                     worst, pair = size, (x, y)
     return pair, worst
-
-
-DIAGONAL_SLACK = "diagonal-slack"
-
-
-def _with_slack(problem: FeasibilityProblem) -> FeasibilityProblem:
-    slack = SourceMask(source=(DIAGONAL_SLACK,), fixed_pairs=frozenset(),
-                       free_nodes=frozenset(problem.gamma.node_labels))
-    return FeasibilityProblem(problem.gamma, problem.topology, problem.masks + (slack,))
 
 
 def _hyperplane_test(y: np.ndarray, a0: np.ndarray, trace: float) -> tuple[bool, float, float, float]:
@@ -295,7 +278,7 @@ def _hyperplane_test(y: np.ndarray, a0: np.ndarray, trace: float) -> tuple[bool,
 
 
 def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, allow_diagonal_slack: bool = False) -> FeasibilityOutcome:
+          max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityOutcome:
     """Anderson-accelerated Dykstra projections between the PSD cones and the affine set.
 
     Stops as soon as the PSD iterate satisfies the affine constraints within
@@ -309,16 +292,12 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     Iterations apply the module docstring's map: iteration 1 is plain, later
     ones extrapolate over the last ``ANDERSON_DEPTH`` steps.
 
-    ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
-    free block-diagonal PSD summand, padded to the full CM size.  ``tol``
-    must be > 0: a floating-point residual need not ever reach zero.
+    ``tol`` must be > 0: a floating-point residual need not ever reach zero.
     """
     if not tol > 0.0:
         raise ValueError(f"feasibility tolerance must be > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if allow_diagonal_slack:
-        problem = _with_slack(problem)
     target = tol * _scale(problem.gamma)
     pair, blocked = _uncovered_pair(problem)
     if blocked > target:
@@ -372,12 +351,12 @@ def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
                    tol: float = DEFAULT_TOL) -> bool:
     """Independent check of a decomposition witness.
 
-    Each summand must be PSD, carry the mask's off-diagonal blocks and be
-    zero outside its source, and the diagonal blocks must sum to the CM's,
-    all within the target ``tol * max|Gamma_ij|`` that ``solve`` stops at.
+    Each summand must be PSD, carry the CM's off-diagonal blocks between the
+    nodes it covers and be zero outside them, and the diagonal blocks must
+    sum to the CM's, all within the target ``tol * max|Gamma_ij|`` that ``solve`` stops at.
     """
-    if len(witness) != len(problem.masks):
-        raise ValueError(f"need {len(problem.masks)} summands, got {len(witness)}")
+    if len(witness) != len(problem.summands):
+        raise ValueError(f"need {len(problem.summands)} summands, got {len(witness)}")
     n = problem.gamma.dim
     mats = [np.asarray(t, dtype=float) for t in witness]
     if any(t.shape != (n, n) for t in mats):
@@ -394,13 +373,12 @@ def _affine_violation(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> 
     sl = _node_slices(gamma)
     nodes = gamma.node_labels
     worst = 0.0
-    for t, mask in zip(ts, problem.masks):
+    for t, s in zip(ts, problem.summands):
         for i, x in enumerate(nodes):
             for y in nodes[i + 1:]:
-                target = gamma.block(x, y) if not mask.zero_block(x, y) else np.zeros(
-                    (sl[x].stop - sl[x].start, sl[y].stop - sl[y].start))
+                target = gamma.block(x, y) if x in s and y in s else 0.0
                 worst = max(worst, float(np.abs(t[sl[x], sl[y]] - target).max(initial=0.0)))
-            if x not in mask.free_nodes:
+            if x not in s:
                 worst = max(worst, float(np.abs(t[sl[x], sl[x]]).max(initial=0.0)))
     for x in nodes:
         total = sum(t[sl[x], sl[x]] for t in ts)
@@ -425,10 +403,10 @@ def verify_certificate(problem: FeasibilityProblem, certificate: InfeasibilityCe
     gamma = problem.gamma
     if certificate.pair is not None:
         x, y = certificate.pair
-        return (all(mask.zero_block(x, y) for mask in problem.masks)
+        return (not any(x in s and y in s for s in problem.summands)
                 and float(np.abs(gamma.block(x, y)).max(initial=0.0)) > 0.0)
-    if len(certificate.separator) != len(problem.masks):
-        raise ValueError(f"need {len(problem.masks)} separator matrices, "
+    if len(certificate.separator) != len(problem.summands):
+        raise ValueError(f"need {len(problem.summands)} separator matrices, "
                          f"got {len(certificate.separator)}")
     n = gamma.dim
     if any(np.shape(t) != (n, n) for t in certificate.separator):
@@ -440,14 +418,11 @@ def verify_certificate(problem: FeasibilityProblem, certificate: InfeasibilityCe
     proj = 0.5 * (ys + np.swapaxes(ys, 1, 2))
     a0 = np.zeros_like(ys)
     for x in gamma.node_labels:
-        carriers = [k for k, mask in enumerate(problem.masks) if x in mask.free_nodes]
-        if not carriers:
-            return False
+        carriers = [k for k, s in enumerate(problem.summands) if x in s]
         proj[carriers, sl[x], sl[x]] = proj[carriers, sl[x], sl[x]].mean(axis=0)
         a0[carriers, sl[x], sl[x]] = gamma.block(x, x) / len(carriers)
-    for k, mask in enumerate(problem.masks):
-        for pair in mask.fixed_pairs:
-            x, y = sorted(pair)
+    for k, s in enumerate(problem.summands):
+        for x, y in combinations(s, 2):
             a0[k, sl[x], sl[y]] = gamma.block(x, y)
             a0[k, sl[y], sl[x]] = gamma.block(y, x)
     if np.linalg.norm(ys - proj) > CERT_RTOL * np.linalg.norm(ys):
@@ -459,11 +434,12 @@ def verify_certificate(problem: FeasibilityProblem, certificate: InfeasibilityCe
 
 
 def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, directory) -> Path:
-    """Write one NCMX file per source summand plus a JSON manifest.
+    """Write one NCMX file per summand plus a JSON manifest.
 
     A feasible outcome writes its witness as ``witness_{k}.ncmx``; an
     infeasible one writes its separator, if it has one, as
     ``certificate_{k}.ncmx`` and records the certificate in the manifest.
+    The manifest's ``summands`` lists the nodes of each file's summand, in file order.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -488,14 +464,7 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
             "nodes": list(problem.topology.nodes),
             "sources": [list(s) for s in problem.topology.sources],
         },
-        "masks": [
-            {
-                "source": list(m.source),
-                "fixed_pairs": sorted(sorted(p) for p in m.fixed_pairs),
-                "free_nodes": sorted(m.free_nodes),
-            }
-            for m in problem.masks
-        ],
+        "summands": [list(s) for s in problem.summands],
         "witness_files": write_all("witness", outcome.witness),
         "certificate_files": write_all("certificate", cert.separator if cert else ()),
         "certificate": cert.to_dict() if cert else None,

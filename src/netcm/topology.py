@@ -60,38 +60,3 @@ def line_topology(labels: Sequence[str]) -> NetworkTopology:
     if len(labels) < 3:
         raise ValueError("a line network needs at least three nodes")
     return NetworkTopology(labels, tuple((labels[i], labels[i + 1]) for i in range(len(labels) - 1)))
-
-
-@dataclass(frozen=True)
-class SourceMask:
-    """Block support of one summand in the source decomposition of a CM.
-
-    Off-diagonal blocks (x, y) with both nodes in the source are fixed to the
-    CM's blocks, diagonal blocks of member nodes are free, everything else
-    is zero.
-    """
-
-    source: tuple[str, ...]
-    fixed_pairs: frozenset[frozenset[str]]
-    free_nodes: frozenset[str]
-
-    def zero_block(self, x: str, y: str) -> bool:
-        if x == y:
-            return x not in self.free_nodes
-        return frozenset((x, y)) not in self.fixed_pairs
-
-
-def block_pattern(topology: NetworkTopology) -> list[SourceMask]:
-    """Per-source masks of fixed, free and zero blocks (NCDS topologies only)."""
-    if not topology.is_ncds():
-        raise ValueError("block decomposition masks require an NCDS topology")
-    masks = []
-    for s in topology.sources:
-        masks.append(
-            SourceMask(
-                source=s,
-                fixed_pairs=frozenset(frozenset(p) for p in combinations(s, 2)),
-                free_nodes=frozenset(s),
-            )
-        )
-    return masks

@@ -23,7 +23,7 @@ from netcm.criteria import _margin_given_means
 from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                FeasibilityOutcome, FeasibilityProblem,
                                InfeasibilityCertificate, _hyperplane_test, _Stack,
-                               _uncovered_pair, _with_slack, verify_certificate)
+                               _uncovered_pair, verify_certificate)
 from netcm.linalg import SubsystemLayout, kron, partial_trace, psd_project
 from netcm.observables import Observable, ObservableSet, OrthogonalBasis, embed, full_product_set
 from netcm.states import DensityOperator, random_source, triangle_layout
@@ -473,23 +473,32 @@ def ghz_statistics_margin(fidelity: float, means_rest: np.ndarray, correlators_r
 
 def witness_from_parts(parts: Sequence[np.ndarray], remainder: np.ndarray,
                        problem: FeasibilityProblem) -> list[np.ndarray]:
-    """Fold a block-diagonal PSD remainder into per-source summands.
+    """Fold a block-diagonal PSD remainder into the problem's summands.
 
-    Each node's remainder block is assigned to the first summand whose mask
-    carries that node; adding a PSD block-diagonal piece preserves PSD-ness,
-    so a valid source decomposition with separate remainder becomes a valid
-    witness for the equality-form constraints.
+    Each node's remainder block is added to the first summand that covers
+    the node; adding a PSD block-diagonal piece preserves PSD-ness, so a
+    valid source decomposition with a separate remainder becomes a valid
+    witness for the equality-form constraints.  The same fold turns any
+    decomposition with a block-diagonal PSD slack into one without, which
+    is why ``FeasibilityProblem`` has no slack summand.
     """
     out = [np.asarray(t, dtype=float).copy() for t in parts]
     for x in problem.gamma.node_labels:
         sl = problem.gamma.node_slice(x)
-        for k, mask in enumerate(problem.masks):
-            if x in mask.free_nodes:
-                out[k][sl, sl] += remainder[sl, sl]
-                break
-        else:
-            raise ValueError(f"no summand carries node {x!r}")
+        k = next(k for k, s in enumerate(problem.summands) if x in s)
+        out[k][sl, sl] += remainder[sl, sl]
     return out
+
+
+def with_unfed_node(gamma: BlockCovarianceMatrix, rng: np.random.Generator) -> BlockCovarianceMatrix:
+    """``gamma`` plus a node "D" uncorrelated with the others, with a random
+    positive definite 2 x 2 block: a node that a source-free topology leaves unfed."""
+    n = gamma.dim
+    a = rng.standard_normal((2, 2))
+    m = np.zeros((n + 2, n + 2))
+    m[:n, :n] = gamma.matrix
+    m[n:, n:] = a @ a.T + np.eye(2)
+    return BlockCovarianceMatrix(m, gamma.block_sizes + (2,), gamma.node_labels + ("D",))
 
 
 # Plain Dykstra, the solver before Anderson acceleration: the reference for
@@ -497,8 +506,7 @@ def witness_from_parts(parts: Sequence[np.ndarray], remainder: np.ndarray,
 
 
 def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER,
-                  allow_diagonal_slack: bool = False) -> FeasibilityOutcome:
+                  max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityOutcome:
     """Dykstra alternating projections between the PSD cones and the affine set.
 
     Stops as soon as the PSD iterate satisfies the affine constraints within
@@ -511,16 +519,12 @@ def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12 relative) over
     the last tenth of the run, else "inconclusive".
 
-    ``allow_diagonal_slack`` relaxes the diagonal equality to <= by adding a
-    free block-diagonal PSD summand, padded to the full CM size.  ``tol``
-    must be > 0: a floating-point residual need not ever reach zero.
+    ``tol`` must be > 0: a floating-point residual need not ever reach zero.
     """
     if not tol > 0.0:
         raise ValueError(f"feasibility tolerance must be > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if allow_diagonal_slack:
-        problem = _with_slack(problem)
     pair, blocked = _uncovered_pair(problem)
     if blocked > tol:
         # a CM block between nodes no source connects cannot be matched by

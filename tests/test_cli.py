@@ -120,6 +120,18 @@ class TestCheck:
         assert code == 0
         assert load_report(capsys)["pass"] is True
 
+    @pytest.mark.parametrize("spec, problem", [
+        ("[]", "state spec must be an object"),
+        ('{"family": "ghz", "params": [1]}', "state spec params must be an object"),
+    ])
+    def test_state_json_that_is_not_an_object_is_64(self, spec, problem, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = run(["check", "--state-json", spec, "--visibility", "0.5",
+                    "--observables", "pauli-z", "--output", str(out)])
+        assert code == 64
+        assert not out.exists()
+        assert problem in capsys.readouterr().err
+
     def test_schema_validates_check_report(self, capsys):
         run(["check", "--state", "w", "--visibility", "0.7",
              "--observables", "w-set", "--topology", "triangle"])
@@ -557,6 +569,60 @@ class TestFeasibility:
         assert code == 64
         assert not out.exists()
         assert f"block sizes must be integers >= 0, got {sizes}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [[], {"block_sizes": 3}, {"node_labels": [["A"], "B", "C"]},
+                                         {"node_labels": "ABC"}],
+                             ids=["list", "int-sizes", "nested-label", "string-labels"])
+    def test_malformed_sidecar_is_64(self, tmp_path, capsys, sidecar):
+        from netcm.covariance import covariance_matrix, save_cm
+        from netcm.observables import named_observable_set
+
+        rho = mix_white_noise(ghz_state(3, 2), 0.3)
+        g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+        save_cm(g, tmp_path / "g.ncmx")
+        side = tmp_path / "g.ncmx.json"
+        if isinstance(sidecar, dict):
+            sidecar = dict(json.loads(side.read_text()), **sidecar)
+        side.write_text(json.dumps(sidecar))
+        out = tmp_path / "report.json"
+        code = run(["feasibility", "--cm-file", str(tmp_path / "g.ncmx"),
+                    "--topology", "triangle", "--output", str(out)])
+        assert code == 64
+        assert not out.exists()
+        assert "sidecar needs an object" in capsys.readouterr().err
+
+    def test_slack_is_gone(self):
+        assert run(["feasibility", "--state", "ghz", "--visibility", "0.3", "--observables",
+                    "pauli-z", "--topology", "triangle", "--slack"]) == 64
+
+    @pytest.mark.parametrize("case", ["btn", "ghz3", "unfed"])
+    def test_manifest_lists_one_summand_per_file(self, case, tmp_path, rng, capsys):
+        from conftest import with_unfed_node
+        from netcm.covariance import covariance_matrix, save_cm
+        from netcm.observables import full_product_set
+        from netcm.states import bell_pair, btn_assemble
+
+        if case == "btn":
+            argv = ["--state", "btn", "--dim", "2", "--observables", "full-product",
+                    "--topology", "triangle"]
+        elif case == "ghz3":
+            argv = ["--state", "ghz", "--visibility", "0.8", "--observables", "pauli-z",
+                    "--topology", "triangle"]
+        else:
+            # a CM on A, B, C, D whose topology feeds no source to D
+            rho = btn_assemble(*[bell_pair(2)] * 3)
+            save_cm(with_unfed_node(covariance_matrix(full_product_set(rho.layout), rho), rng),
+                    tmp_path / "g.ncmx")
+            topo = {"nodes": ["A", "B", "C", "D"], "sources": [["B", "C"], ["C", "A"], ["A", "B"]]}
+            argv = ["--cm-file", str(tmp_path / "g.ncmx"), "--topology", json.dumps(topo)]
+        code = run(["feasibility", *argv, "--witness-dir", str(tmp_path / "w")])
+        assert code == (1 if case == "ghz3" else 0)
+        manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        files = manifest["witness_files"] or manifest["certificate_files"]
+        assert len(manifest["summands"]) == len(files) == (4 if case == "unfed" else 3)
+        assert manifest["summands"][:3] == [["B", "C"], ["C", "A"], ["A", "B"]]
+        if case == "unfed":
+            assert manifest["summands"][3] == ["D"]
 
     def test_cm_file_input(self, tmp_path, capsys):
         from netcm.covariance import covariance_matrix, save_cm

@@ -42,7 +42,8 @@ from netcm.states import (
     w_state,
 )
 from netcm.linalg import SubsystemLayout, psd_margin
-from netcm.topology import NetworkTopology, block_pattern, line_topology, triangle_topology
+from netcm.feasibility import FeasibilityProblem
+from netcm.topology import NetworkTopology, line_topology, triangle_topology
 
 from conftest import (
     _max_margin_statistics,
@@ -77,39 +78,32 @@ class TestTopology:
         assert topo.is_ncds()
 
 
-class TestBlockPattern:
-    def test_triangle_masks(self):
-        masks = block_pattern(triangle_topology())
-        assert len(masks) == 3
-        by_source = {m.source: m for m in masks}
-        m_c = by_source[("A", "B")]
-        assert m_c.fixed_pairs == frozenset({frozenset({"A", "B"})})
-        assert m_c.free_nodes == frozenset({"A", "B"})
-        assert m_c.zero_block("C", "C") and m_c.zero_block("A", "C")
-        assert not m_c.zero_block("A", "B") and not m_c.zero_block("A", "A")
+def summands(topo):
+    """The summands of a feasibility problem on ``topo``, with a unit CM."""
+    n = len(topo.nodes)
+    return FeasibilityProblem(BlockCovarianceMatrix(np.eye(n), (1,) * n, topo.nodes), topo).summands
 
-    def test_five_node_masks(self):
+
+class TestSummands:
+    def test_triangle_summands(self):
+        assert summands(triangle_topology()) == (("B", "C"), ("C", "A"), ("A", "B"))
+
+    def test_five_node_summands(self):
         topo = NetworkTopology(("1", "2", "3", "4", "5"),
                                (("1", "2", "3"), ("3", "4", "5"), ("1", "5")))
-        masks = block_pattern(topo)
-        m_a, m_b, m_c = masks
-        assert m_a.free_nodes == frozenset("123")
-        assert m_b.free_nodes == frozenset("345")
-        assert m_c.free_nodes == frozenset("15")
-        assert not m_a.zero_block("1", "2")
-        assert m_a.zero_block("1", "5")
-        assert not m_c.zero_block("1", "5")
+        assert summands(topo) == (("1", "2", "3"), ("3", "4", "5"), ("1", "5"))
 
     def test_single_source_two_nodes(self):
-        topo = NetworkTopology(("1", "2"), (("1", "2"),))
-        (mask,) = block_pattern(topo)
-        assert mask.free_nodes == frozenset("12")
-        assert not mask.zero_block("1", "2")
+        assert summands(NetworkTopology(("1", "2"), (("1", "2"),))) == (("1", "2"),)
+
+    def test_unfed_nodes_get_one_node_summands(self):
+        topo = NetworkTopology(("D", "A", "B", "C", "E"), (("B", "C"), ("C", "A"), ("A", "B")))
+        assert summands(topo) == (("B", "C"), ("C", "A"), ("A", "B"), ("D",), ("E",))
 
     def test_non_ncds_rejected(self):
         topo = NetworkTopology(("1", "2", "3"), (("1", "2"), ("1", "2")))
         with pytest.raises(ValueError, match="NCDS"):
-            block_pattern(topo)
+            summands(topo)
 
 
 class TestTraceNormCriterion:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import plain_dykstra, witness_from_parts
+from conftest import plain_dykstra, with_unfed_node, witness_from_parts
 from netcm import feasibility
 
 from netcm.covariance import BlockCovarianceMatrix, covariance_matrix
@@ -29,7 +29,7 @@ from netcm.states import (
     random_source,
     w_state,
 )
-from netcm.topology import NetworkTopology, SourceMask, block_pattern, line_topology, triangle_topology
+from netcm.topology import NetworkTopology, line_topology, triangle_topology
 
 
 def ghz_problem(v):
@@ -42,10 +42,6 @@ def w_problem(v):
     rho = mix_white_noise(w_state(), v)
     g = covariance_matrix(named_observable_set("w-set", rho.layout), rho)
     return FeasibilityProblem(g, triangle_topology())
-
-
-def slack_mask(problem):
-    return SourceMask(("diagonal-slack",), frozenset(), frozenset(problem.gamma.node_labels))
 
 
 def btn_problem(rng):
@@ -152,12 +148,6 @@ class TestSolve:
         assert len(h) == out.iterations
         assert (np.diff(h[10:]) <= 1e-12).all()
 
-    def test_diagonal_slack_keeps_feasible(self, rng):
-        prob, _, _ = btn_problem(rng)
-        out = solve(prob, allow_diagonal_slack=True)
-        assert out.status == "feasible"
-        assert len(out.witness) == 4  # three sources plus the slack summand
-
     def test_never_feasible_when_trace_norm_violated(self):
         for v in (0.55, 0.75, 0.95):
             prob = ghz_problem(v)
@@ -197,6 +187,36 @@ class TestSolve:
         with pytest.raises(ValueError, match="tolerance must be > 0"):
             solve(ghz_problem(0.3), tol=tol)
 
+
+# the triangle on A, B, C and a node D that no source feeds
+TRIANGLE_AND_D = NetworkTopology(("A", "B", "C", "D"), triangle_topology().sources)
+
+
+class TestUnfedNode:
+    """A node no source feeds is one summand of its own, holding its diagonal block."""
+
+    def test_feasible_with_verified_witness(self, rng):
+        prob = FeasibilityProblem(with_unfed_node(btn_problem(rng)[0].gamma, rng), TRIANGLE_AND_D)
+        assert prob.summands[-1] == ("D",)
+        out = solve(prob)
+        assert out.status == "feasible"
+        assert len(out.witness) == 4
+        assert verify_witness(prob, out.witness)
+        d = prob.gamma.node_slice("D")
+        assert np.abs(out.witness[3][d, d] - prob.gamma.block("D", "D")).max() <= 1e-7
+
+    def test_infeasible_with_verified_certificate(self, rng):
+        prob = FeasibilityProblem(with_unfed_node(ghz_problem(0.8).gamma, rng), TRIANGLE_AND_D)
+        out = solve(prob)
+        assert out.status == "infeasible"
+        assert len(out.certificate.separator) == 4
+        assert verify_certificate(prob, out.certificate)
+
+    def test_correlated_unfed_node_is_an_uncovered_pair(self):
+        rho = mix_white_noise(ghz_state(4, 2), 0.3)
+        g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+        out = solve(FeasibilityProblem(g, TRIANGLE_AND_D))
+        assert (out.status, out.iterations, out.certificate.pair) == ("infeasible", 0, ("A", "D"))
 
 
 def near_boundary_problem(state, seed, v):
@@ -285,15 +305,6 @@ class TestAnderson:
         assert solve(prob).status == "feasible"
         assert solve(near_boundary_problem(w_state(), 0, 1.0), max_iter=300).iterations == 300
         assert len(seen) > 300 and all(seen)
-
-    def test_slack_witness_has_four_verified_summands(self, rng):
-        prob, _, _ = btn_problem(rng)
-        out = solve(prob, allow_diagonal_slack=True)
-        assert out.status == "feasible"
-        assert len(out.witness) == 4
-        relaxed = FeasibilityProblem(prob.gamma, prob.topology,
-                                     tuple(block_pattern(prob.topology)) + (slack_mask(prob),))
-        assert verify_witness(relaxed, out.witness)
 
 
 class TestCapWithoutCertificate:
@@ -389,15 +400,6 @@ class TestCertificate:
         assert verify_certificate(prob, out.certificate)
         assert not verify_certificate(prob, InfeasibilityCertificate(pair=("A", "B")))
 
-    def test_slack_certificate(self):
-        prob = ghz_problem(0.8)
-        out = solve(prob, allow_diagonal_slack=True, max_iter=300)
-        assert out.status == "infeasible"
-        assert len(out.certificate.separator) == 4
-        relaxed = FeasibilityProblem(prob.gamma, prob.topology,
-                                     tuple(block_pattern(prob.topology)) + (slack_mask(prob),))
-        assert verify_certificate(relaxed, out.certificate)
-
 
 def stacked_affine_project(ts, problem):
     """The solver's stacked projection onto the affine set, on full n x n summands."""
@@ -411,17 +413,17 @@ def loop_affine_project(ts, problem):
     sl = {x: gamma.node_slice(x) for x in gamma.node_labels}
     nodes = gamma.node_labels
     out = [np.array(t, dtype=float) for t in ts]
-    for t, mask in zip(out, problem.masks):
+    for t, s in zip(out, problem.summands):
         for i, x in enumerate(nodes):
             for y in nodes[i + 1:]:
-                blk = gamma.block(x, y) if not mask.zero_block(x, y) else 0.0
+                blk = gamma.block(x, y) if x in s and y in s else 0.0
                 t[sl[x], sl[y]] = blk
                 t[sl[y], sl[x]] = np.transpose(blk) if isinstance(blk, np.ndarray) else 0.0
         for x in nodes:
-            if x not in mask.free_nodes:
+            if x not in s:
                 t[sl[x], sl[x]] = 0.0
     for x in nodes:
-        carriers = [k for k, mask in enumerate(problem.masks) if x in mask.free_nodes]
+        carriers = [k for k, s in enumerate(problem.summands) if x in s]
         deficit = gamma.block(x, x) - sum(out[k][sl[x], sl[x]] for k in carriers)
         for k in carriers:
             out[k][sl[x], sl[x]] += deficit / len(carriers)
@@ -433,12 +435,14 @@ class TestAffineProjection:
         prob, _, _ = btn_problem(rng)
         four = NetworkTopology(("A", "B", "C", "D"), (("A", "B", "C"), ("C", "D"), ("A", "D")))
         g4 = BlockCovarianceMatrix(random_density(7, rng).real, (2, 1, 3, 1), four.nodes)
-        problems = [prob, FeasibilityProblem(prob.gamma, prob.topology,
-                                             prob.masks + (slack_mask(prob),)),
-                    FeasibilityProblem(g4, four)]
+        # node D of the last problem is fed by no source: its one-node
+        # summand fixes no pair
+        unfed = NetworkTopology(four.nodes, (("A", "B"), ("B", "C"), ("C", "A")))
+        problems = [prob, FeasibilityProblem(g4, four), FeasibilityProblem(g4, unfed)]
+        assert problems[-1].summands[-1] == ("D",)
         for pr in problems:
             n = pr.gamma.dim
-            ts = [rng.standard_normal((n, n)) for _ in pr.masks]
+            ts = [rng.standard_normal((n, n)) for _ in pr.summands]
             ts = [0.5 * (t + t.T) for t in ts]
             for a, b in zip(stacked_affine_project(ts, pr), loop_affine_project(ts, pr)):
                 assert np.abs(a - b).max() <= 1e-12
@@ -523,7 +527,7 @@ class TestExport:
         assert verify_certificate(prob, cert)
 
     def test_line_topology_problem(self, rng):
-        # four-node line network: masks chain the off-diagonal blocks
+        # four-node line network: the summands chain the off-diagonal blocks
         from netcm.covariance import covariance_matrix
         from netcm.states import cluster4_state
 

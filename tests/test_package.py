@@ -1,12 +1,15 @@
 """What the package promises its users: the names the benchmark and the
-scripts import, and the README's Python example."""
+scripts import, the README's Python example and its CLI examples."""
 
 import ast
 import contextlib
 import importlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from netcm.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +53,14 @@ def test_readme_python_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert out.getvalue()
+
+
+def test_readme_cli_examples_parse():
+    # every `netcm ...` line of the CLI block, with `\` continuations joined,
+    # must parse; nothing is run, so a removed option shows as a parse error
+    text = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("netcm ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        build_parser(argv[0]).parse_args(argv)

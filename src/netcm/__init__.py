@@ -27,14 +27,11 @@ from .states import (
     w_state,
 )
 from .observables import (
-    Observable,
     ObservableSet,
     OrthogonalBasis,
-    embed,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    product_observable_set,
 )
 from .covariance import (
     BlockCovarianceMatrix,

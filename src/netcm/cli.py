@@ -80,16 +80,17 @@ def state_from_spec(spec: dict) -> DensityOperator:
     try:
         if family == "ghz":
             levels = params.get("levels", "full")
-            rho = ghz_state(int(params.get("parties", 3)), int(params.get("dim", 2)),
-                            levels if levels == "full" else tuple(levels))
+            rho = ghz_state(_field(int, params.get("parties", 3), "params.parties"),
+                            _field(int, params.get("dim", 2), "params.dim"),
+                            levels if levels == "full" else _field(tuple, levels, "params.levels"))
         elif family == "w":
             rho = w_state()
         elif family == "dicke":
-            rho = dicke_state(int(params["k"]))
+            rho = dicke_state(_field(int, params["k"], "params.k"))
         elif family == "cluster4":
             rho = cluster4_state()
         elif family == "bell":
-            rho = bell_pair(int(params.get("dim", 2)))
+            rho = bell_pair(_field(int, params.get("dim", 2), "params.dim"))
         elif family == "btn":
             rho = btn_assemble(*_btn_sources(params))
         else:  # file
@@ -98,18 +99,26 @@ def state_from_spec(spec: dict) -> DensityOperator:
             if path is None or dims is None:
                 raise SpecError("file family needs params.path and params.dims")
             matrix = ncmx.read_matrix(path)
-            dims = [int(d) for d in dims]
+            dims = _field(lambda ds: [int(d) for d in ds], dims, "params.dims")
             labels = params.get("labels") or [chr(ord("A") + i) for i in range(len(dims))]
             nodes = params.get("nodes") or labels
             rho = DensityOperator(matrix, SubsystemLayout(tuple(dims), tuple(labels), tuple(nodes)))
     except KeyError as exc:
         raise SpecError(f"state spec for family {family!r} is missing {exc}") from None
     if "visibility" in spec and spec["visibility"] is not None:
-        rho = mix_white_noise(rho, float(spec["visibility"]))
+        rho = mix_white_noise(rho, _field(float, spec["visibility"], "visibility"))
     if spec.get("split"):
-        d1, d2 = (int(d) for d in spec["split"])
+        d1, d2 = _field(lambda s: [int(d) for d in s], spec["split"], "split")
         rho = split_nodes(rho, (d1, d2))
     return rho
+
+
+def _field(convert, value, name: str):
+    """``convert(value)``; a value of the wrong type is a :class:`SpecError` naming the field."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise SpecError(f"state spec field {name!r} has the wrong type: {value!r}") from None
 
 
 def _spec_params(spec) -> dict:
@@ -126,7 +135,8 @@ def _btn_sources(params: dict) -> list[DensityOperator]:
     """The three source states (a, b, c) of a btn spec's params."""
     sub = params.get("sources")
     if sub is None and "bell_dim" in params:
-        sub = [{"family": "bell", "params": {"dim": int(params["bell_dim"])}}] * 3
+        sub = [{"family": "bell",
+                "params": {"dim": _field(int, params["bell_dim"], "params.bell_dim")}}] * 3
     if not isinstance(sub, list) or len(sub) != 3:
         raise SpecError("btn family needs params.sources with exactly three state specs")
     return [state_from_spec(s) for s in sub]
@@ -201,10 +211,15 @@ def topology_from_spec(spec, node_labels) -> NetworkTopology:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecError(f"topology must be 'triangle', 'line' or JSON: {exc}") from None
-    try:
-        return NetworkTopology(tuple(spec["nodes"]), tuple(tuple(s) for s in spec["sources"]))
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"topology JSON needs 'nodes' and 'sources': {exc}") from None
+    nodes, sources = (spec.get(k) if isinstance(spec, dict) else None for k in ("nodes", "sources"))
+    if not (_strings(nodes) and isinstance(sources, list) and all(map(_strings, sources))):
+        raise SpecError("topology JSON needs 'nodes', a list of strings, and 'sources', "
+                        f"a list of lists of strings; got {spec!r}")
+    return NetworkTopology(tuple(nodes), tuple(tuple(s) for s in sources))
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def topology_to_spec(topology: NetworkTopology) -> dict:
@@ -218,10 +233,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    p = Path(path)
-    tmp = p.with_name(p.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(p)
+    ncmx.write_atomic(path, text.encode())
 
 
 def _emit_json(path: str | None, payload: dict) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from . import ncmx
 from .linalg import psd_margin, require_hermitian
 from .states import DensityOperator, maximally_mixed
-from .observables import Observable, ObservableSet, embed
+from .observables import ObservableSet
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def moments(observables: Sequence, rho) -> tuple[np.ndarray, np.ndarray]:
     Bloch vector when the O_m are an orthogonal basis.
     """
     rho = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    stack = np.stack([o.matrix if isinstance(o, Observable) else np.asarray(o) for o in observables])
+    stack = np.stack(observables)
     if stack.shape[1:] != rho.shape:
         raise ValueError("observable dimensions do not match the state")
     means, second = _raw_moments(stack, rho)
@@ -110,19 +110,16 @@ def _cross_second(stack_x, stack_y, rho_xy) -> np.ndarray:
 
 
 def _node_stacks(obs: ObservableSet, layout) -> dict[str, tuple[tuple[str, ...], np.ndarray]]:
-    """Each node's factors and its observables as one stack of operators on the whole node."""
+    """Each node's factors and its stack, after checking the node against the state's layout."""
     unknown = set(obs.node_order) - set(layout.node_order)
     if unknown:
         raise KeyError(f"observables on unknown nodes {sorted(unknown)}; "
                        f"state has {layout.node_order}")
-    stacks = {}
-    for x in obs.node_order:
-        dx, factors = layout.node_dim(x), layout.factors_of(x)
-        # an observable on part of a node is padded to the whole node
-        stacks[x] = (factors, np.stack([
-            o.matrix if o.factor_support is None and o.matrix.shape[0] == dx
-            else embed(o, layout.keep(factors)) for o in obs.node_observables(x)]))
-    return stacks
+    for x, s in obs.stacks.items():
+        if s.shape[1] != layout.node_dim(x):
+            raise ValueError(f"observables of node {x!r} have dimension {s.shape[1]}, "
+                             f"the node has {layout.node_dim(x)}")
+    return {x: (layout.factors_of(x), s) for x, s in obs.stacks.items()}
 
 
 def _block_cm(stacks: Mapping, full: np.ndarray) -> BlockCovarianceMatrix:
@@ -192,10 +189,8 @@ def save_cm(gamma: BlockCovarianceMatrix, path) -> None:
         "node_labels": list(gamma.node_labels),
         "block_sizes": list(gamma.block_sizes),
     }
-    side = path.with_suffix(path.suffix + ".json")
-    tmp = side.with_name(side.name + ".tmp")
-    tmp.write_text(json.dumps(sidecar, indent=2) + "\n")
-    tmp.replace(side)
+    ncmx.write_atomic(path.with_suffix(path.suffix + ".json"),
+                      (json.dumps(sidecar, indent=2) + "\n").encode())
 
 
 def load_cm(path) -> BlockCovarianceMatrix:

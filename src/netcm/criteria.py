@@ -34,7 +34,7 @@ import numpy as np
 from .covariance import (BlockCovarianceMatrix, _block_cm, _centred, _node_stacks, _stacked_moments,
                          white_noise_moments)
 from .linalg import SubsystemLayout, psd_margin, trace_norm
-from .observables import ObservableSet, orthogonal_basis, product_stack
+from .observables import ObservableSet, _full_product_stack, orthogonal_basis
 from .states import DensityOperator, triangle_layout
 from .topology import NetworkTopology
 
@@ -145,10 +145,10 @@ def _triangle_stacks(layout: SubsystemLayout):
         f = layout.factors_of(x)
         if len(f) != 2:
             raise ValueError(f"node {x!r} must consist of two factors, has {f}")
-        b1, b2 = (np.stack(list(orthogonal_basis(layout.dims[layout.index(l)]))) for l in f)
-        stacks[x] = (f, product_stack([b1, b2]))
-        rows[f[0]], rows[f[1]] = start + len(b2) * np.arange(len(b1)), start + np.arange(len(b2))
-        start += len(b1) * len(b2)
+        n1, n2 = (layout.dims[layout.index(l)] ** 2 for l in f)  # basis sizes
+        stacks[x] = (f, _full_product_stack(layout, x))
+        rows[f[0]], rows[f[1]] = start + n2 * np.arange(n1), start + np.arange(n2)
+        start += n1 * n2
     return stacks, rows
 
 
@@ -356,21 +356,21 @@ class WhiteNoiseScan:
         m = rep.margin + rep.tolerance
         return m, 0.0, m, m >= 0.0
 
-    def threshold(self, tol: float = 1e-6, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Bisection estimate of the visibility where the margin changes sign.
+    def threshold(self, tol: float = 1e-6) -> float:
+        """Bisection estimate of the visibility in [0, 1] where the margin changes sign.
 
-        The verdict must be monotone on [lo, hi].  Any ``tol`` >= 0
+        The verdict must be monotone on [0, 1].  Any ``tol`` >= 0
         terminates: the bisection also stops at adjacent floats.
         """
         def margin(v: float) -> float:
             return self.row(v)[2]
 
-        m_lo, m_hi = margin(lo), margin(hi)
+        m_lo, m_hi = margin(0.0), margin(1.0)
         if not (m_lo >= 0.0 > m_hi):
             raise ValueError(
-                f"no pass/fail sign change on [{lo}, {hi}]: margins {m_lo:.3e}, {m_hi:.3e}"
+                f"no pass/fail sign change on [0.0, 1.0]: margins {m_lo:.3e}, {m_hi:.3e}"
             )
-        lo, hi = _bisect(margin, lo, hi, tol)
+        lo, hi = _bisect(margin, 0.0, 1.0, tol)
         return 0.5 * (lo + hi)
 
 

@@ -471,7 +471,5 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
         "note": CERTIFICATE_NOTE,
     }
     path = directory / "manifest.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
-    tmp.replace(path)
+    ncmx.write_atomic(path, (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode())
     return path

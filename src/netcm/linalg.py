@@ -108,19 +108,6 @@ class SubsystemLayout:
     def node_dim(self, node: str) -> int:
         return int(np.prod([self.dims[self.index(l)] for l in self.factors_of(node)]))
 
-    def keep(self, labels: Iterable[str]) -> "SubsystemLayout":
-        """Layout restricted to the given factors, original order preserved."""
-        kept = set(labels)
-        unknown = kept - set(self.labels)
-        if unknown:
-            raise KeyError(f"unknown factor labels {sorted(unknown)}; have {self.labels}")
-        sel = [i for i, l in enumerate(self.labels) if l in kept]
-        return SubsystemLayout(
-            tuple(self.dims[i] for i in sel),
-            tuple(self.labels[i] for i in sel),
-            tuple(self.nodes[i] for i in sel),
-        )
-
     def reorder(self, new_order: Sequence[str]) -> "SubsystemLayout":
         if sorted(new_order) != sorted(self.labels):
             raise ValueError(f"{tuple(new_order)} is not a permutation of {self.labels}")

@@ -22,17 +22,21 @@ class NcmxError(ValueError):
     """Malformed or truncated NCMX data."""
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a ``.tmp`` sibling of ``path``, then rename it over ``path``,
+    so no reader sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
 def write_matrix(path, matrix) -> None:
     """Write a complex matrix to ``path`` in NCMX format (atomically)."""
     m = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]))
-        fh.write(m.astype("<c16").tobytes())
-    tmp.replace(path)
+    write_atomic(path, _HEADER.pack(MAGIC, VERSION, *m.shape) + m.astype("<c16").tobytes())
 
 
 def read_matrix(path) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Local observable sets and orthogonal operator bases.
 
-:func:`product_stack` forms the product bases of both the full product sets
-and the triangle criteria, which use the plain arrays, with no observables.
+An observable set is one stack of operators per node, as the moment kernel
+reads it.  :func:`_full_product_stack` forms a node's product basis for both
+the full product sets and the triangle criteria, which use the plain
+arrays, with no observable set.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, SubsystemLayout, _as_matrix, kron, require_hermitian
+from .linalg import HERMITICITY_TOL, SubsystemLayout, _as_matrix, require_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,75 +90,37 @@ def orthogonal_basis(d: int) -> OrthogonalBasis:
 
 
 @dataclass(frozen=True)
-class Observable:
-    """Hermitian operator acting on one node (optionally on named factors only)."""
-
-    matrix: np.ndarray
-    node: str
-    factor_support: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", require_hermitian(_as_matrix(self.matrix)))
-        if self.factor_support is not None:
-            object.__setattr__(self, "factor_support", tuple(self.factor_support))
-
-
-@dataclass(frozen=True)
 class ObservableSet:
-    """Ordered observables grouped contiguously by node."""
+    """Local observables: node label -> stack ``(m, d, d)`` of operators on the whole node.
 
-    observables: tuple[Observable, ...]
+    Nodes keep the mapping's order.  Checked once, here: the mapping is
+    non-empty and each stack is non-empty and passes
+    :func:`~netcm.linalg.require_hermitian`, whose tolerance scales with the
+    stack's largest entry.  The stacks are kept symmetrized and read-only.
+    """
+
+    stacks: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        obs = tuple(self.observables)
-        if not obs:
+        if not self.stacks:
             raise ValueError("observable set must not be empty")
-        seen = {}
-        for i, o in enumerate(obs):
-            if o.node in seen and seen[o.node] != i - 1:
-                raise ValueError(f"observables of node {o.node!r} are not contiguous")
-            seen[o.node] = i
-        object.__setattr__(self, "observables", obs)
+        stacks = {}
+        for x, s in self.stacks.items():
+            s = np.asarray(s, dtype=complex)
+            if s.ndim != 3 or not len(s):
+                raise ValueError(f"node {x!r} needs a non-empty stack of shape (m, d, d), "
+                                 f"got {s.shape}")
+            stacks[x] = require_hermitian(s)
+            stacks[x].flags.writeable = False
+        object.__setattr__(self, "stacks", MappingProxyType(stacks))
 
     @property
     def node_order(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(o.node for o in self.observables))
+        return tuple(self.stacks)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        counts = {}
-        for o in self.observables:
-            counts[o.node] = counts.get(o.node, 0) + 1
-        return tuple(counts[x] for x in self.node_order)
-
-    def node_observables(self, node: str) -> list[Observable]:
-        out = [o for o in self.observables if o.node == node]
-        if not out:
-            raise KeyError(f"no observables on node {node!r}")
-        return out
-
-    def __len__(self) -> int:
-        return len(self.observables)
-
-    def __iter__(self):
-        return iter(self.observables)
-
-
-def embed(obs: Observable, layout: SubsystemLayout) -> np.ndarray:
-    """Identity-padded global operator for an observable on one node."""
-    support = obs.factor_support or layout.factors_of(obs.node)
-    positions = sorted(layout.index(l) for l in support)
-    if positions != list(range(positions[0], positions[0] + len(positions))):
-        raise ValueError(f"factor support {support} is not contiguous in layout {layout.labels}")
-    d_sup = int(np.prod([layout.dims[i] for i in positions]))
-    if obs.matrix.shape[0] != d_sup:
-        raise ValueError(
-            f"observable dimension {obs.matrix.shape[0]} does not match support dimension {d_sup}"
-        )
-    before = int(np.prod(layout.dims[: positions[0]])) if positions[0] else 1
-    after_start = positions[-1] + 1
-    after = int(np.prod(layout.dims[after_start:])) if after_start < len(layout.dims) else 1
-    return kron(np.eye(before), kron(obs.matrix, np.eye(after)))
+        return tuple(len(s) for s in self.stacks.values())
 
 
 def product_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -172,25 +137,16 @@ def product_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def product_observable_set(bases: Sequence[OrthogonalBasis], node: str) -> ObservableSet:
-    """All tensor products of per-factor basis elements, lexicographic order.
-
-    The identity-first ordering of each basis puts the node identity first.
-    """
-    stack = product_stack([np.stack(list(b)) for b in bases])
-    return ObservableSet(tuple(Observable(m, node) for m in stack))
+def _full_product_stack(layout: SubsystemLayout, node: str) -> np.ndarray:
+    """A node's full product basis: the :func:`product_stack` of its factors'
+    :func:`orthogonal_basis` elements, the node identity first."""
+    return product_stack([np.stack(list(orthogonal_basis(layout.dims[layout.index(l)])))
+                          for l in layout.factors_of(node)])
 
 
 def full_product_set(layout: SubsystemLayout) -> ObservableSet:
-    """Complete product observable set for every node of a layout.
-
-    Each factor gets the :func:`orthogonal_basis` of its dimension.
-    """
-    return ObservableSet(tuple(
-        o for node in layout.node_order
-        for o in product_observable_set(
-            [orthogonal_basis(layout.dims[layout.index(l)]) for l in layout.factors_of(node)],
-            node)))
+    """Complete product observable set for every node of a layout."""
+    return ObservableSet({x: _full_product_stack(layout, x) for x in layout.node_order})
 
 
 def _require_qubit_nodes(layout: SubsystemLayout):
@@ -202,15 +158,13 @@ def _require_qubit_nodes(layout: SubsystemLayout):
 def pauli_z_set(layout: SubsystemLayout) -> ObservableSet:
     """One sigma_z per qubit node."""
     _require_qubit_nodes(layout)
-    return ObservableSet(tuple(Observable(PAULI_Z, x) for x in layout.node_order))
+    return ObservableSet({x: PAULI_Z[None] for x in layout.node_order})
 
 
 def w_set(layout: SubsystemLayout) -> ObservableSet:
     """sigma_x and sigma_y on every qubit node."""
     _require_qubit_nodes(layout)
-    return ObservableSet(
-        tuple(Observable(p, x) for x in layout.node_order for p in (PAULI_X, PAULI_Y))
-    )
+    return ObservableSet({x: np.stack([PAULI_X, PAULI_Y]) for x in layout.node_order})
 
 
 def cluster_set(layout: SubsystemLayout) -> ObservableSet:
@@ -220,7 +174,7 @@ def cluster_set(layout: SubsystemLayout) -> ObservableSet:
     if len(nodes) != 4:
         raise ValueError(f"cluster set needs four nodes, layout has {len(nodes)}")
     mats = (PAULI_X, PAULI_Z, PAULI_Z, PAULI_X)
-    return ObservableSet(tuple(Observable(m, x) for m, x in zip(mats, nodes)))
+    return ObservableSet({x: m[None] for m, x in zip(mats, nodes)})
 
 
 NAMED_SETS = {

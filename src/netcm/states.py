@@ -333,30 +333,21 @@ def network_state(topology: NetworkTopology, sources: Sequence[DensityOperator])
     return DensityOperator._trusted(mat, SubsystemLayout(dims, tuple(order), tuple(order_nodes)))
 
 
-def split_nodes(rho: DensityOperator, split: Mapping[str, tuple[int, int]] | tuple[int, int]) -> DensityOperator:
-    """Refine single-factor nodes into two tensor factors each.
+def split_nodes(rho: DensityOperator, split: tuple[int, int]) -> DensityOperator:
+    """Refine every single-factor node into two tensor factors ``<node>1`` and ``<node>2``.
 
-    ``split`` maps node label to a dimension pair whose product is the node
-    dimension (one pair applies to every node).  New factors are labelled
-    ``<node>1`` and ``<node>2``.
+    ``split`` is the dimension pair (d1, d2); d1 * d2 must be each node's dimension.
     """
-    if isinstance(split, tuple):
-        split = {x: split for x in rho.layout.node_order}
+    d1, d2 = split
     dims, labels, nodes = [], [], []
     for d, label, node in zip(rho.layout.dims, rho.layout.labels, rho.layout.nodes):
-        if node in split:
-            if rho.layout.factors_of(node) != (label,):
-                raise ValueError(f"node {node!r} is already split")
-            d1, d2 = split[node]
-            if d1 * d2 != d:
-                raise ValueError(f"split {d1}x{d2} does not match dimension {d} of node {node!r}")
-            dims += [d1, d2]
-            labels += [f"{node}1", f"{node}2"]
-            nodes += [node, node]
-        else:
-            dims.append(d)
-            labels.append(label)
-            nodes.append(node)
+        if rho.layout.factors_of(node) != (label,):
+            raise ValueError(f"node {node!r} is already split")
+        if d1 * d2 != d:
+            raise ValueError(f"split {d1}x{d2} does not match dimension {d} of node {node!r}")
+        dims += [d1, d2]
+        labels += [f"{node}1", f"{node}2"]
+        nodes += [node, node]
     return rho.with_layout(SubsystemLayout(tuple(dims), tuple(labels), tuple(nodes)))
 
 

@@ -25,7 +25,7 @@ from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                InfeasibilityCertificate, _hyperplane_test, _Stack,
                                _uncovered_pair, verify_certificate)
 from netcm.linalg import SubsystemLayout, kron, partial_trace, psd_project
-from netcm.observables import Observable, ObservableSet, OrthogonalBasis, embed, full_product_set
+from netcm.observables import ObservableSet, OrthogonalBasis, full_product_set
 from netcm.states import DensityOperator, random_source, triangle_layout
 
 # plain_dykstra's own plateau rule: a residual plateau below RESIDUAL_FLOOR *
@@ -143,13 +143,10 @@ def reduced_observable_decomposition(sources) -> tuple[np.ndarray, ...]:
     def reduced_set(x, keep):
         traced = layout.factors_of(x)[0 if keep == 2 else 1]
         dims = tuple(layout.dims[layout.index(l)] for l in layout.factors_of(x))
-        return [reduced_observable(o.matrix, dims, marg[traced], keep=keep)
-                for o in obs.node_observables(x)]
+        return [reduced_observable(m, dims, marg[traced], keep=keep) for m in obs.stacks[x]]
 
     def source_cm(pair_state, x, x_obs, y, y_obs):
-        mini = ObservableSet(tuple(Observable(m, x) for m in x_obs)
-                             + tuple(Observable(m, y) for m in y_obs))
-        return covariance_matrix(mini, pair_state)
+        return covariance_matrix(ObservableSet({x: x_obs, y: y_obs}), pair_state)
 
     def relabel(src, labels, pair):
         return src.with_layout(SubsystemLayout(src.layout.dims, labels, pair))
@@ -174,9 +171,28 @@ def reduced_observable_decomposition(sources) -> tuple[np.ndarray, ...]:
     return pad(cm_c, a_node, b_node), pad(cm_b, a_node, c_node), pad(cm_a, b_node, c_node)
 
 
-def brute_force_cm(obs_set, rho: DensityOperator) -> np.ndarray:
+def embed(matrix, node: str, layout: SubsystemLayout,
+          factor_support: Sequence[str] | None = None) -> np.ndarray:
+    """Identity-padded global operator for an operator on one node, or on the
+    contiguous factors ``factor_support`` of it."""
+    support = factor_support or layout.factors_of(node)
+    positions = sorted(layout.index(l) for l in support)
+    if positions != list(range(positions[0], positions[0] + len(positions))):
+        raise ValueError(f"factor support {support} is not contiguous in layout {layout.labels}")
+    d_sup = int(np.prod([layout.dims[i] for i in positions]))
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape[0] != d_sup:
+        raise ValueError(
+            f"observable dimension {matrix.shape[0]} does not match support dimension {d_sup}"
+        )
+    before = int(np.prod(layout.dims[: positions[0]]))
+    after = int(np.prod(layout.dims[positions[-1] + 1:]))
+    return kron(np.eye(before), kron(matrix, np.eye(after)))
+
+
+def brute_force_cm(obs_set: ObservableSet, rho: DensityOperator) -> np.ndarray:
     """Covariance matrix from global embeddings and explicit operator products."""
-    mats = [embed(o, rho.layout) for o in obs_set]
+    mats = [embed(m, x, rho.layout) for x, s in obs_set.stacks.items() for m in s]
     r = rho.matrix
     means = np.array([np.trace(m @ r).real for m in mats])
     n = len(mats)
@@ -204,7 +220,11 @@ KRAUS_TOL = 1e-9
 def marginal(rho: DensityOperator, labels: Iterable[str]) -> DensityOperator:
     """Reduced state on the given factors, layout order preserved (validated)."""
     labels = list(labels)
-    return DensityOperator(rho.marginal_matrix(labels), rho.layout.keep(labels))
+    lay = rho.layout
+    sel = [i for i, l in enumerate(lay.labels) if l in labels]
+    sub = SubsystemLayout(tuple(lay.dims[i] for i in sel), tuple(lay.labels[i] for i in sel),
+                          tuple(lay.nodes[i] for i in sel))
+    return DensityOperator(rho.marginal_matrix(labels), sub)
 
 
 def node_marginal(rho: DensityOperator, *nodes: str) -> DensityOperator:

@@ -21,13 +21,11 @@ from netcm.criteria import (
 from netcm.feasibility import FeasibilityProblem, solve, verify_witness
 from netcm.linalg import SubsystemLayout
 from netcm.observables import (
-    Observable,
     ObservableSet,
     OrthogonalBasis,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    product_observable_set,
 )
 from netcm.states import (
     DensityOperator,
@@ -46,6 +44,7 @@ from conftest import (
     apply_local_channels,
     apply_local_unitaries,
     convex_mix,
+    embed,
     expectation,
     marginal,
     orthogonal_from_unitary,
@@ -286,10 +285,8 @@ class TestAcceptance9Properties:
             marg_a2 = marginal(rho, ["A2"]).matrix
             marg_b1 = marginal(rho, ["B1"]).matrix
             pair = marginal(rho, ["A2", "B1"]).matrix
-            a_red = [reduced_observable(o.matrix, (2, 2), marg_a1, 2)
-                     for o in obs.node_observables("A")]
-            b_red = [reduced_observable(o.matrix, (2, 2), marg_b2, 1)
-                     for o in obs.node_observables("B")]
+            a_red = [reduced_observable(m, (2, 2), marg_a1, 2) for m in obs.stacks["A"]]
+            b_red = [reduced_observable(m, (2, 2), marg_b2, 1) for m in obs.stacks["B"]]
             block = np.zeros((16, 16))
             for m, am in enumerate(a_red):
                 for n, bn in enumerate(b_red):
@@ -304,20 +301,16 @@ class TestAcceptance9Properties:
             r1, r2 = random_density(2, rng), random_density(2, rng)
             layout = SubsystemLayout((2, 2), ("P1", "P2"), ("P", "P"))
             rho = DensityOperator(np.kron(r1, r2), layout)
-            direct = covariance_matrix(
-                product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "P"), rho)
+            direct = covariance_matrix(full_product_set(layout), rho)
             closed = product_state_cm([(list(orthogonal_basis(2)), r1), (list(orthogonal_basis(2)), r2)])
             assert np.abs(closed.matrix - direct.matrix).max() <= 1e-9
         self._record("product-state CM closed form", start)
 
     def test_recombination_congruence(self, rng):
-        from netcm.observables import embed
-
         start = time.perf_counter()
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        base = [Observable(p, x) for x in "AB" for p in orthogonal_basis(2)]
-        obs = ObservableSet(tuple(base))
-        mats = [embed(o, layout) for o in base]
+        obs = ObservableSet({x: list(orthogonal_basis(2)) for x in "AB"})
+        mats = [embed(m, x, layout) for x in "AB" for m in orthogonal_basis(2)]
         for _ in range(N_INSTANCES):
             rho = DensityOperator(random_density(4, rng), layout)
             gamma = covariance_matrix(obs, rho)
@@ -344,7 +337,7 @@ class TestAcceptance9Properties:
             gamma_u = covariance_matrix(obs, apply_local_unitaries(rho, us))
             o = np.zeros((48, 48))
             for i, x in enumerate("ABC"):
-                basis = OrthogonalBasis(tuple(ob.matrix for ob in obs.node_observables(x)))
+                basis = OrthogonalBasis(tuple(obs.stacks[x]))
                 o[16 * i:16 * (i + 1), 16 * i:16 * (i + 1)] = orthogonal_from_unitary(us[x], basis)
             assert np.abs(o @ gamma.matrix @ o.T - gamma_u.matrix).max() <= 1e-8
         self._record("orthogonal congruence", start)
@@ -352,7 +345,7 @@ class TestAcceptance9Properties:
     def test_cm_concavity_under_mixing(self, rng):
         start = time.perf_counter()
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        obs = ObservableSet(tuple(Observable(p, x) for x in "AB" for p in orthogonal_basis(2)))
+        obs = ObservableSet({x: list(orthogonal_basis(2)) for x in "AB"})
         for _ in range(N_INSTANCES):
             states = [DensityOperator(random_density(4, rng), layout) for _ in range(3)]
             w = rng.random(3)
@@ -374,12 +367,12 @@ class TestAcceptance9Properties:
                 for x in "ABC"
             }
             rho_c = apply_local_channels(rho, chans)
-            obs = []
+            obs = {x: [] for x in "ABC"}
             for x in "ABC":
                 for _k in range(2):
                     g = rng.standard_normal((dims[x], dims[x])) + 1j * rng.standard_normal((dims[x], dims[x]))
-                    obs.append(Observable(0.5 * (g + g.conj().T), x))
-            gamma = covariance_matrix(ObservableSet(tuple(obs)), rho_c)
+                    obs[x].append(0.5 * (g + g.conj().T))
+            gamma = covariance_matrix(ObservableSet(obs), rho_c)
             report = trace_norm_criterion(gamma, triangle_topology())
             assert report.margin >= -1e-8
         self._record("trace-norm necessity on channel states", start)

@@ -132,6 +132,35 @@ class TestCheck:
         assert not out.exists()
         assert problem in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field", [
+        ('{"family": "ghz", "visibility": [1]}', "'visibility'"),
+        ('{"family": "ghz", "params": {"parties": [3]}}', "'params.parties'"),
+        ('{"family": "ghz", "split": 5}', "'split'"),
+    ])
+    def test_state_json_value_of_the_wrong_type_is_64(self, spec, field, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = run(["check", "--state-json", spec, "--observables", "pauli-z",
+                    "--output", str(out)])
+        assert code == 64
+        assert not out.exists()
+        assert f"state spec field {field} has the wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topology", [
+        '{"nodes": "ABC", "sources": [["B", "C"], ["C", "A"], ["A", "B"]]}',
+        '{"nodes": ["A", "B", "C"], "sources": ["BC", "CA", "AB"]}',
+    ])
+    def test_topology_strings_are_not_lists(self, topology, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = run(["check", "--state", "ghz", "--visibility", "0.3", "--observables", "pauli-z",
+                    "--topology", topology, "--output", str(out)])
+        assert code == 64
+        assert not out.exists()
+        assert "list of strings" in capsys.readouterr().err
+
+    def test_splitting_a_split_node_is_64(self, capsys):
+        assert run(["check", "--state", "btn", "--split", "2x2", "--criterion", "xi-psd"]) == 64
+        assert "already split" in capsys.readouterr().err
+
     def test_schema_validates_check_report(self, capsys):
         run(["check", "--state", "w", "--visibility", "0.7",
              "--observables", "w-set", "--topology", "triangle"])
@@ -362,10 +391,10 @@ class TestValidatedOnce:
     @pytest.mark.parametrize("criterion", ["xi-psd", "btn-residual"])
     def test_triangle_checks_build_no_observables(self, criterion, monkeypatch, capsys):
         # decompose: see test_decompose_builds_no_observables_states_or_cms
-        from netcm.observables import Observable, ObservableSet
+        from netcm.observables import ObservableSet
 
         built = []
-        for cls in (Observable, ObservableSet):
+        for cls in (ObservableSet,):
             def counting(obj, validate=cls.__post_init__):
                 built.append(type(obj).__name__)
                 validate(obj)
@@ -390,7 +419,7 @@ class TestValidatedOnce:
         # relabelled source state and no covariance_matrix call
         import netcm.cli
         import netcm.covariance
-        from netcm.observables import Observable, ObservableSet
+        from netcm.observables import ObservableSet
 
         built = []
 
@@ -403,7 +432,7 @@ class TestValidatedOnce:
         for module in (netcm.cli, netcm.covariance):
             monkeypatch.setattr(module, "covariance_matrix",
                                 counting("covariance_matrix", netcm.covariance.covariance_matrix))
-        for cls in (Observable, ObservableSet, DensityOperator):
+        for cls in (ObservableSet, DensityOperator):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
         monkeypatch.setattr(DensityOperator, "_trusted", classmethod(
             counting("DensityOperator", DensityOperator._trusted.__func__)))

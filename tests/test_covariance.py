@@ -12,17 +12,14 @@ from netcm.covariance import (
     save_cm,
     white_noise_moments,
 )
-from netcm.linalg import SubsystemLayout, kron
+from netcm.linalg import SubsystemLayout
 from netcm.observables import (
     PAULI_X,
     PAULI_Z,
-    Observable,
     ObservableSet,
-    embed,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    product_observable_set,
 )
 from netcm.states import (
     DensityOperator,
@@ -39,6 +36,7 @@ from netcm.states import (
 from conftest import (
     brute_force_cm,
     convex_mix,
+    embed,
     node_marginal,
     orthogonal_from_unitary,
     product_state_cm,
@@ -50,7 +48,7 @@ from conftest import (
 def ghz_z_oracle(v):
     """Dense expectation oracle for the GHZ(v) pauli-z CM, built from embeddings."""
     rho = mix_white_noise(ghz_state(3, 2), v)
-    zs = [embed(Observable(PAULI_Z, x), rho.layout) for x in "ABC"]
+    zs = [embed(PAULI_Z, x, rho.layout) for x in "ABC"]
     out = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
@@ -72,7 +70,7 @@ class TestCovarianceMatrix:
     def test_product_state_off_diagonals_vanish(self, rng):
         layout = SubsystemLayout((2, 2), ("A", "B"))
         rho = DensityOperator(np.kron(random_density(2, rng), random_density(2, rng)), layout)
-        obs = ObservableSet(tuple(Observable(p, x) for x in "AB" for p in (PAULI_X, PAULI_Z)))
+        obs = ObservableSet({x: [PAULI_X, PAULI_Z] for x in "AB"})
         g = covariance_matrix(obs, rho)
         assert np.abs(g.block("A", "B")).max() <= 1e-12
 
@@ -100,8 +98,7 @@ class TestCovarianceMatrix:
         g = covariance_matrix(obs, rho)
         for x in "ABC":
             marg = node_marginal(rho, x)
-            mats = [o.matrix for o in obs.node_observables(x)]
-            assert np.abs(g.block(x, x) - moments(mats, marg)[1].real).max() <= 1e-12
+            assert np.abs(g.block(x, x) - moments(obs.stacks[x], marg)[1].real).max() <= 1e-12
 
     def test_output_is_psd(self, rng):
         rho = mix_white_noise(w_state(), 0.8)
@@ -110,15 +107,21 @@ class TestCovarianceMatrix:
 
     def test_unknown_node_rejected(self):
         rho = ghz_state(3, 2)
-        obs = ObservableSet((Observable(PAULI_Z, "Q"),))
+        obs = ObservableSet({"Q": [PAULI_Z]})
         with pytest.raises(KeyError):
+            covariance_matrix(obs, rho)
+
+    def test_node_dimension_mismatch_rejected(self):
+        rho = ghz_state(3, 2)
+        obs = ObservableSet({"A": [PAULI_Z], "B": [np.eye(4)]})
+        with pytest.raises(ValueError, match="dimension 4"):
             covariance_matrix(obs, rho)
 
     def test_observable_order_independent_of_layout_order(self, rng):
         # listing nodes in reverse layout order must not transpose the blocks
         rho = mix_white_noise(ghz_state(3, 2), 0.4)
-        fwd = ObservableSet(tuple(Observable(PAULI_Z, x) for x in "ABC"))
-        rev = ObservableSet(tuple(Observable(PAULI_Z, x) for x in "CBA"))
+        fwd = ObservableSet({x: [PAULI_Z] for x in "ABC"})
+        rev = ObservableSet({x: [PAULI_Z] for x in "CBA"})
         g_fwd = covariance_matrix(fwd, rho)
         g_rev = covariance_matrix(rev, rho)
         for x in "ABC":
@@ -127,25 +130,10 @@ class TestCovarianceMatrix:
         # and on a state with asymmetric cross blocks
         rho2 = btn_assemble(*[random_source(2, rng) for _ in range(3)])
         obs_fwd = full_product_set(rho2.layout)
-        obs_rev = ObservableSet(tuple(o for x in "CBA" for o in obs_fwd.node_observables(x)))
+        obs_rev = ObservableSet({x: obs_fwd.stacks[x] for x in "CBA"})
         g1 = covariance_matrix(obs_fwd, rho2)
         g2 = covariance_matrix(obs_rev, rho2)
         assert np.abs(g1.block("A", "C") - g2.block("A", "C")).max() <= 1e-12
-
-    def test_partial_factor_support(self, rng):
-        # an observable on one factor of a split node matches its padded twin
-        rho = btn_assemble(*[random_source(2, rng) for _ in range(3)])
-        slim = ObservableSet((
-            Observable(PAULI_Z, "A", factor_support=("A2",)),
-            Observable(PAULI_X, "B", factor_support=("B1",)),
-        ))
-        padded = ObservableSet((
-            Observable(kron(np.eye(2), PAULI_Z), "A"),
-            Observable(kron(PAULI_X, np.eye(2)), "B"),
-        ))
-        got = covariance_matrix(slim, rho)
-        want = covariance_matrix(padded, rho)
-        assert np.abs(got.matrix - want.matrix).max() <= 1e-12
 
 
 class TestBlockAccess:
@@ -197,8 +185,7 @@ class TestProductStateCm:
         obs1, obs2 = list(orthogonal_basis(2)), list(orthogonal_basis(3))
         layout = SubsystemLayout((2, 3), ("P1", "P2"), ("P", "P"))
         rho = DensityOperator(np.kron(r1, r2), layout)
-        direct = covariance_matrix(product_observable_set(
-            [orthogonal_basis(2), orthogonal_basis(3)], "P"), rho)
+        direct = covariance_matrix(full_product_set(layout), rho)
         closed = product_state_cm([(obs1, r1), (obs2, r2)])
         assert np.abs(closed.matrix - direct.matrix).max() <= 1e-9
 
@@ -206,8 +193,7 @@ class TestProductStateCm:
         marginals = [random_density(2, rng) for _ in range(3)]
         layout = SubsystemLayout((2, 2, 2), ("P1", "P2", "P3"), ("P", "P", "P"))
         rho = DensityOperator(np.kron(marginals[0], np.kron(marginals[1], marginals[2])), layout)
-        direct = covariance_matrix(
-            product_observable_set([orthogonal_basis(2)] * 3, "P"), rho)
+        direct = covariance_matrix(full_product_set(layout), rho)
         closed = product_state_cm([(list(orthogonal_basis(2)), m) for m in marginals])
         assert np.abs(closed.matrix - direct.matrix).max() <= 1e-9
 
@@ -263,7 +249,7 @@ class TestWhiteNoiseCm:
 class TestConcavity:
     def test_mixture_dominates_average(self, rng):
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        obs = ObservableSet(tuple(Observable(p, x) for x in "AB" for p in (PAULI_X, PAULI_Z)))
+        obs = ObservableSet({x: [PAULI_X, PAULI_Z] for x in "AB"})
         for _ in range(10):
             states = [DensityOperator(random_density(4, rng), layout) for _ in range(3)]
             w = rng.random(3)
@@ -292,12 +278,10 @@ class TestRecombine:
         # Lemma-style identity: CM of M_j = sum_i C_ij N_i equals C^T Gamma C
         layout = SubsystemLayout((2, 2), ("A", "B"))
         rho = DensityOperator(random_density(4, rng), layout)
-        base = [Observable(PAULI_X, "A"), Observable(PAULI_Z, "A"),
-                Observable(PAULI_X, "B"), Observable(PAULI_Z, "B")]
-        obs = ObservableSet(tuple(base))
+        obs = ObservableSet({x: [PAULI_X, PAULI_Z] for x in "AB"})
         g = covariance_matrix(obs, rho)
         c = rng.standard_normal((4, 4))
-        mats = [embed(o, layout) for o in base]
+        mats = [embed(m, x, layout) for x in "AB" for m in (PAULI_X, PAULI_Z)]
         recombined = [sum(c[i, j] * mats[i] for i in range(4)) for j in range(4)]
         means = [np.trace(m @ rho.matrix).real for m in recombined]
         direct = np.zeros((4, 4))
@@ -320,11 +304,11 @@ class TestRecombine:
         # equals the congruence with the expansion matrix of the conjugation
         layout = SubsystemLayout((3,), ("A",))
         basis = orthogonal_basis(3)
-        obs = ObservableSet(tuple(Observable(g, "A") for g in basis))
+        obs = ObservableSet({"A": list(basis)})
         rho = DensityOperator(random_density(3, rng), layout)
         g = covariance_matrix(obs, rho)
         u = random_unitary(3, rng)
-        conjugated = ObservableSet(tuple(Observable(u.conj().T @ el @ u, "A") for el in basis))
+        conjugated = ObservableSet({"A": [u.conj().T @ el @ u for el in basis]})
         direct = covariance_matrix(conjugated, rho)
         o = orthogonal_from_unitary(u, basis)
         # U^dag G_a U = sum_b O_ab G_b, i.e. the recombination matrix is O^T

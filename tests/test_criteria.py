@@ -20,7 +20,6 @@ from netcm.criteria import (
     xi_report,
 )
 from netcm.observables import (
-    Observable,
     ObservableSet,
     full_product_set,
     named_observable_set,
@@ -160,8 +159,8 @@ class TestTraceNormCriterion:
         topo = NetworkTopology(("A", "B", "C", "D"), (("A", "B", "C"), ("C", "D")))
         rho = network_state(topo, [ghz_state(3, 2), bell_pair(2)])
         sz = np.diag([1.0, -1.0])
-        obs = ObservableSet(tuple(Observable(sz, node, (label,))
-                                  for label, node in zip(rho.layout.labels, rho.layout.nodes)))
+        obs = ObservableSet({x: [on_factor(sz, rho.layout, l) for l in rho.layout.factors_of(x)]
+                             for x in rho.layout.node_order})
         g = covariance_matrix(obs, rho)
         rep = trace_norm_criterion(g, topo)
         assert rep.lhs == pytest.approx(5.0)
@@ -174,6 +173,14 @@ class TestTraceNormCriterion:
         rho = mix_white_noise(ghz_state(3, 2), 0.6)
         g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
         assert "pair_weights" not in trace_norm_criterion(g, triangle_topology()).details
+
+
+def on_factor(op, layout: SubsystemLayout, label: str) -> np.ndarray:
+    """``op`` on factor ``label``, padded with identities to the whole of its node."""
+    out = np.ones((1, 1))
+    for l in layout.factors_of(layout.nodes[layout.index(label)]):
+        out = np.kron(out, op if l == label else np.eye(layout.dims[layout.index(l)]))
+    return out
 
 
 def _random_ncds_with_triple(rng):
@@ -202,13 +209,13 @@ def test_trace_norm_holds_on_networks_with_three_node_sources(rng):
             layout = SubsystemLayout((2,) * len(s), tuple(f"f{i}" for i in range(len(s))))
             srcs.append(pure_state(vec, layout))
         rho = network_state(topo, srcs)
-        obs = []
+        obs = {}
         for x in rho.layout.node_order:
-            obs.extend(Observable(sz, x, (label,)) for label in rho.layout.factors_of(x))
+            obs[x] = [on_factor(sz, rho.layout, label) for label in rho.layout.factors_of(x)]
             d = rho.layout.node_dim(x)
             h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            obs.append(Observable(0.1 * (h + h.conj().T), x))
-        rep = trace_norm_criterion(covariance_matrix(ObservableSet(tuple(obs)), rho), topo)
+            obs[x].append(0.1 * (h + h.conj().T))
+        rep = trace_norm_criterion(covariance_matrix(ObservableSet(obs), rho), topo)
         assert rep.margin >= -1e-8 * (1.0 + rep.lhs)
 
 

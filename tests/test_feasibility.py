@@ -19,7 +19,7 @@ from netcm.feasibility import (
 )
 from netcm.linalg import SubsystemLayout
 from netcm.ncmx import read_matrix
-from netcm.observables import Observable, ObservableSet, full_product_set, named_observable_set
+from netcm.observables import ObservableSet, full_product_set, named_observable_set
 from netcm.states import (
     btn_assemble,
     ghz_state,
@@ -166,11 +166,11 @@ class TestSolve:
             vec[0] += 1.0
             vec[7] += rng.uniform(0.5, 1.5)
             rho = mix_white_noise(pure_state(vec, layout), rng.uniform(0.4, 1.0))
-            obs = []
+            obs = {}
             for x in "ABC":
                 h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                obs += [Observable(sz, x), Observable(0.3 * (h + h.conj().T), x)]
-            prob = FeasibilityProblem(covariance_matrix(ObservableSet(tuple(obs)), rho),
+                obs[x] = [sz, 0.3 * (h + h.conj().T)]
+            prob = FeasibilityProblem(covariance_matrix(ObservableSet(obs), rho),
                                       triangle_topology())
             if not trace_norm_criterion(prob.gamma, prob.topology).passed:
                 violated += 1
@@ -224,11 +224,11 @@ def near_boundary_problem(state, seed, v):
     random observable per node (fixed by ``seed``), on the triangle."""
     rng = np.random.default_rng(seed)
     rho = mix_white_noise(state, v)
-    obs = []
+    obs = {}
     for x in "ABC":
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        obs += [Observable(np.diag([1.0, -1.0]), x), Observable(0.5 * (h + h.conj().T), x)]
-    return FeasibilityProblem(covariance_matrix(ObservableSet(tuple(obs)), rho), triangle_topology())
+        obs[x] = [np.diag([1.0, -1.0]), 0.5 * (h + h.conj().T)]
+    return FeasibilityProblem(covariance_matrix(ObservableSet(obs), rho), triangle_topology())
 
 
 # 840 CMs around the GHZ3 threshold 1/2 and 210 around the W threshold 3/4.  An

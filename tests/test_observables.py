@@ -6,18 +6,16 @@ from netcm.observables import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Observable,
     ObservableSet,
     OrthogonalBasis,
-    embed,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
-    product_observable_set,
+    product_stack,
 )
 from netcm.states import ghz_state, random_density, split_nodes, w_state
 
-from conftest import bloch_vector, orthogonal_from_unitary, random_unitary, reduced_observable
+from conftest import bloch_vector, embed, orthogonal_from_unitary, random_unitary, reduced_observable
 
 
 def gram(elements):
@@ -75,12 +73,14 @@ class TestOrthogonalBasis:
 
 
 class TestObservable:
+    """One observable, as a one-element stack of an :class:`ObservableSet`."""
+
     def test_hermiticity_tolerance_scales_with_entries(self):
         skew = np.zeros((2, 2))
         skew[0, 1] = 5e-10  # above the unit-scale tolerance 1e-10
-        assert Observable(1e7 * PAULI_Z + skew, "A").matrix.shape == (2, 2)
+        assert ObservableSet({"A": [1e7 * PAULI_Z + skew]}).stacks["A"].shape == (1, 2, 2)
         with pytest.raises(ValueError, match="Hermitian"):
-            Observable(PAULI_Z + skew, "A")
+            ObservableSet({"A": [PAULI_Z + skew]})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -88,55 +88,78 @@ class TestObservable:
         m = PAULI_X.copy()
         m[where] = m[where[::-1]] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            Observable(m, "A")
+            ObservableSet({"A": [m]})
+
+
+class TestObservableSet:
+    def test_rejects_empty_mapping(self):
+        with pytest.raises(ValueError, match="empty"):
+            ObservableSet({})
+
+    def test_rejects_non_hermitian_stack(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            ObservableSet({"A": [PAULI_Z, np.array([[0.0, 1.0], [0.0, 0.0]])]})
+
+    def test_rejects_non_finite_stack(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservableSet({"A": [PAULI_Z], "B": [np.full((2, 2), np.nan)]})
+
+    @pytest.mark.parametrize("stack", [np.zeros((0, 2, 2)), PAULI_Z, np.zeros((1, 2, 3))])
+    def test_rejects_empty_flat_or_non_square_stack(self, stack):
+        with pytest.raises(ValueError, match="stack"):
+            ObservableSet({"A": stack})
+
+    def test_stacks_are_read_only_and_symmetrized(self):
+        m = np.array([[1.0, 2.0 + 1e-12], [2.0, -1.0]])
+        s = ObservableSet({"A": [m], "B": [PAULI_Z, PAULI_X]})
+        assert s.node_order == ("A", "B") and s.block_sizes == (1, 2)
+        assert np.array_equal(s.stacks["A"][0], s.stacks["A"][0].conj().T)
+        with pytest.raises(ValueError):
+            s.stacks["B"][0, 0, 0] = 2.0
+        with pytest.raises(TypeError):
+            s.stacks["C"] = np.stack([PAULI_Z])
 
 
 class TestEmbed:
     def test_sigma_z_on_first(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
-        out = embed(Observable(PAULI_Z, "A"), layout)
+        out = embed(PAULI_Z, "A", layout)
         assert np.allclose(out, kron(PAULI_Z, np.eye(4)))
 
     def test_identity_observable(self):
         layout = SubsystemLayout((2, 3), ("A", "B"))
-        out = embed(Observable(np.eye(3), "B"), layout)
+        out = embed(np.eye(3), "B", layout)
         assert np.allclose(out, np.eye(6))
 
     def test_factor_support_within_node(self):
         layout = SubsystemLayout((2, 2, 2), ("A1", "A2", "B"), ("A", "A", "B"))
-        out = embed(Observable(PAULI_X, "A", factor_support=("A2",)), layout)
+        out = embed(PAULI_X, "A", layout, factor_support=("A2",))
         assert np.allclose(out, kron(np.eye(2), kron(PAULI_X, np.eye(2))))
 
     def test_unknown_node(self):
         layout = SubsystemLayout((2,), ("A",))
         with pytest.raises(KeyError):
-            embed(Observable(PAULI_Z, "Q"), layout)
+            embed(PAULI_Z, "Q", layout)
 
 
 class TestProductSet:
+    def qubit_pair(self):
+        return product_stack([np.stack(list(orthogonal_basis(2)))] * 2)
+
     def test_qubit_pair_count(self):
-        s = product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "A")
-        assert len(s) == 16
+        assert len(self.qubit_pair()) == 16
 
     def test_identity_first(self):
-        s = product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "A")
-        assert np.allclose(s.observables[0].matrix, np.eye(4))
+        assert np.allclose(self.qubit_pair()[0], np.eye(4))
 
     def test_product_norm(self):
-        s = product_observable_set([orthogonal_basis(2), orthogonal_basis(2)], "A")
-        mats = [o.matrix for o in s]
-        assert np.abs(gram(mats) - 4.0 * np.eye(16)).max() <= 1e-10
+        assert np.abs(gram(list(self.qubit_pair())) - 4.0 * np.eye(16)).max() <= 1e-10
 
     def test_full_product_set_blocks(self):
         rho = split_nodes(ghz_state(3, 4), (2, 2))
         s = full_product_set(rho.layout)
         assert s.block_sizes == (16, 16, 16)
         assert s.node_order == rho.layout.node_order
-
-    def test_grouping_enforced(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            ObservableSet((Observable(PAULI_Z, "A"), Observable(PAULI_Z, "B"),
-                           Observable(PAULI_X, "A")))
 
 
 class TestReducedObservable:
@@ -217,21 +240,21 @@ class TestOrthogonalFromUnitary:
 class TestNamedSets:
     def test_pauli_z(self):
         s = named_observable_set("pauli-z", ghz_state(3, 2).layout)
-        assert len(s) == 3
-        assert all(np.array_equal(o.matrix, PAULI_Z) for o in s)
+        assert sum(s.block_sizes) == 3
+        assert all(np.array_equal(m, PAULI_Z) for st in s.stacks.values() for m in st)
         assert s.node_order == ("A", "B", "C")
 
     def test_w_set(self):
         s = named_observable_set("w-set", w_state().layout)
-        assert len(s) == 6
-        mats = [o.matrix for o in s.node_observables("B")]
+        assert sum(s.block_sizes) == 6
+        mats = s.stacks["B"]
         assert np.array_equal(mats[0], PAULI_X) and np.array_equal(mats[1], PAULI_Y)
 
     def test_cluster_set(self):
         from netcm.states import cluster4_state
 
         s = named_observable_set("cluster-set", cluster4_state().layout)
-        mats = [o.matrix for o in s]
+        mats = [m for st in s.stacks.values() for m in st]
         for got, want in zip(mats, (PAULI_X, PAULI_Z, PAULI_Z, PAULI_X)):
             assert np.array_equal(got, want)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netcm.linalg import SubsystemLayout, kron, partial_trace
-from netcm.observables import PAULI_X, PAULI_Z, embed, Observable
+from netcm.observables import PAULI_X, PAULI_Z
 from netcm.states import (
     DensityOperator,
     NoisyPureState,
@@ -30,6 +30,7 @@ from conftest import (
     apply_local_channels,
     apply_local_unitaries,
     convex_mix,
+    embed,
     expectation,
     marginal,
     naive_partial_trace,
@@ -451,8 +452,7 @@ class TestLayoutHelpers:
 
     def test_expectation_via_embed(self, rng):
         rho = mix_white_noise(w_state(), 0.7)
-        obs = Observable(PAULI_X, "B")
-        global_op = embed(obs, rho.layout)
+        global_op = embed(PAULI_X, "B", rho.layout)
         marg = node_marginal(rho, "B")
         assert expectation(global_op, rho) == pytest.approx(
             np.trace(PAULI_X @ marg.matrix).real

@@ -2,8 +2,6 @@
 
 from .linalg import (
     SubsystemLayout,
-    eigvals_hermitian,
-    kron,
     partial_trace,
     permute_subsystems,
     psd_project,
@@ -28,7 +26,6 @@ from .states import (
 )
 from .observables import (
     ObservableSet,
-    OrthogonalBasis,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
@@ -37,7 +34,6 @@ from .covariance import (
     BlockCovarianceMatrix,
     covariance_matrix,
     load_cm,
-    moments,
     save_cm,
 )
 from .topology import NetworkTopology, line_topology, triangle_topology

@@ -80,17 +80,18 @@ def state_from_spec(spec: dict) -> DensityOperator:
     try:
         if family == "ghz":
             levels = params.get("levels", "full")
-            rho = ghz_state(_field(int, params.get("parties", 3), "params.parties"),
-                            _field(int, params.get("dim", 2), "params.dim"),
-                            levels if levels == "full" else _field(tuple, levels, "params.levels"))
+            if levels != "full":
+                levels = _field(levels, "params.levels", _integers)
+            rho = ghz_state(_field(params.get("parties", 3), "params.parties"),
+                            _field(params.get("dim", 2), "params.dim"), levels)
         elif family == "w":
             rho = w_state()
         elif family == "dicke":
-            rho = dicke_state(_field(int, params["k"], "params.k"))
+            rho = dicke_state(_field(params["k"], "params.k"))
         elif family == "cluster4":
             rho = cluster4_state()
         elif family == "bell":
-            rho = bell_pair(_field(int, params.get("dim", 2), "params.dim"))
+            rho = bell_pair(_field(params.get("dim", 2), "params.dim"))
         elif family == "btn":
             rho = btn_assemble(*_btn_sources(params))
         else:  # file
@@ -99,26 +100,36 @@ def state_from_spec(spec: dict) -> DensityOperator:
             if path is None or dims is None:
                 raise SpecError("file family needs params.path and params.dims")
             matrix = ncmx.read_matrix(path)
-            dims = _field(lambda ds: [int(d) for d in ds], dims, "params.dims")
-            labels = params.get("labels") or [chr(ord("A") + i) for i in range(len(dims))]
-            nodes = params.get("nodes") or labels
+            dims = _field(dims, "params.dims", _integers)
+            labels, nodes = params.get("labels"), params.get("nodes")  # null: the default
+            if labels is None:
+                labels = [chr(ord("A") + i) for i in range(len(dims))]
+            labels = _field(labels, "params.labels", _strings)
+            nodes = _field(labels if nodes is None else nodes, "params.nodes", _strings)
             rho = DensityOperator(matrix, SubsystemLayout(tuple(dims), tuple(labels), tuple(nodes)))
     except KeyError as exc:
         raise SpecError(f"state spec for family {family!r} is missing {exc}") from None
     if "visibility" in spec and spec["visibility"] is not None:
-        rho = mix_white_noise(rho, _field(float, spec["visibility"], "visibility"))
-    if spec.get("split"):
-        d1, d2 = _field(lambda s: [int(d) for d in s], spec["split"], "split")
-        rho = split_nodes(rho, (d1, d2))
+        v = _field(spec["visibility"], "visibility", lambda v: _integer(v) or isinstance(v, float))
+        rho = mix_white_noise(rho, float(v))
+    if spec.get("split") is not None and _field(spec["split"], "split", _integers):
+        rho = split_nodes(rho, spec["split"])
     return rho
 
 
-def _field(convert, value, name: str):
-    """``convert(value)``; a value of the wrong type is a :class:`SpecError` naming the field."""
-    try:
-        return convert(value)
-    except TypeError:
-        raise SpecError(f"state spec field {name!r} has the wrong type: {value!r}") from None
+def _integer(value) -> bool:  # a JSON integer; a bool is not one
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(map(_integer, value))
+
+
+def _field(value, name: str, fits=_integer):
+    """``value`` if ``fits(value)``, else a :class:`SpecError` naming the field."""
+    if not fits(value):
+        raise SpecError(f"state spec field {name!r} has the wrong type: {value!r}")
+    return value
 
 
 def _spec_params(spec) -> dict:
@@ -136,7 +147,7 @@ def _btn_sources(params: dict) -> list[DensityOperator]:
     sub = params.get("sources")
     if sub is None and "bell_dim" in params:
         sub = [{"family": "bell",
-                "params": {"dim": _field(int, params["bell_dim"], "params.bell_dim")}}] * 3
+                "params": {"dim": _field(params["bell_dim"], "params.bell_dim")}}] * 3
     if not isinstance(sub, list) or len(sub) != 3:
         raise SpecError("btn family needs params.sources with exactly three state specs")
     return [state_from_spec(s) for s in sub]
@@ -220,10 +231,6 @@ def topology_from_spec(spec, node_labels) -> NetworkTopology:
 
 def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def topology_to_spec(topology: NetworkTopology) -> dict:
-    return {"nodes": list(topology.nodes), "sources": [list(s) for s in topology.sources]}
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -363,7 +370,7 @@ def cmd_check(args) -> int:
                  f"{report.margin!r},{str(report.passed).lower()},{report.tolerance!r}"]
         _write_text(args.output, "\n".join(lines) + "\n")
     else:
-        _emit_json(args.output, _check_report(report, spec, obs_name, topology_to_spec(topo)))
+        _emit_json(args.output, _check_report(report, spec, obs_name, topo.to_spec()))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -463,7 +470,7 @@ def cmd_feasibility(args) -> int:
         "witness_manifest": manifest_path,
         "state_spec": state_spec,
         "observables_spec": obs_name,
-        "topology": topology_to_spec(topo),
+        "topology": topo.to_spec(),
         "note": CERTIFICATE_NOTE,
     })
     _emit_json(args.output, payload)

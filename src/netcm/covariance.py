@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -81,24 +81,6 @@ def _raw_moments(stack: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.nda
     """Means <O_m> and unsymmetrized second moments <O_m O_n> of a stack on a matrix."""
     means = np.einsum("mij,ji->m", stack, rho).real
     return means, np.einsum("mik,nkj,ji->mn", stack, stack, rho)
-
-
-def moments(observables: Sequence, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Means <O_m> and the Hermitian CM <O_m O_n> - <O_m><O_n> of observables on one state.
-
-    The second moments are unsymmetrized: the real part is the symmetrized
-    CM, and the imaginary part carries the commutators of same-node
-    observables, which enter product formulas (the real part of a Kronecker
-    product of complex CMs differs from the Kronecker product of their real
-    parts whenever those observables fail to commute).  The means are the
-    Bloch vector when the O_m are an orthogonal basis.
-    """
-    rho = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    stack = np.stack(observables)
-    if stack.shape[1:] != rho.shape:
-        raise ValueError("observable dimensions do not match the state")
-    means, second = _raw_moments(stack, rho)
-    return means, second - np.outer(means, means)
 
 
 def _cross_second(stack_x, stack_y, rho_xy) -> np.ndarray:

@@ -238,7 +238,7 @@ def btn_decompose(sources: Sequence[DensityOperator]) -> BtnDecomposition:
     # each source is ordered (X2, Y1), as its wiring spans it
     means, cms, cross = {}, {}, {}
     for placed, src in zip((("B2", "C1"), ("C2", "A1"), ("A2", "B1")), sources):
-        basis = np.stack(list(orthogonal_basis(src.layout.dims[0])))
+        basis = orthogonal_basis(src.layout.dims[0])
         n = len(basis)
         a, second = _stacked_moments({p: ((l,), basis) for p, l in zip(placed, src.layout.labels)}, src)
         m, c = _factor_moments({placed[0]: np.arange(n), placed[1]: n + np.arange(n)}, a, second)

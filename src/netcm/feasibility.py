@@ -248,12 +248,6 @@ class _Stack:
             out.append(t)
         return tuple(out)
 
-    def from_full(self, ts: Sequence[np.ndarray]) -> np.ndarray:
-        z = np.zeros(self.shape)
-        for zk, t, ix in zip(z, ts, self.index):
-            zk[:len(ix), :len(ix)] = np.asarray(t, dtype=float)[np.ix_(ix, ix)]
-        return z
-
 
 def _uncovered_pair(problem: FeasibilityProblem) -> tuple[tuple[str, str] | None, float]:
     """The node pair no summand carries with the largest CM block, and that block's max-abs entry."""
@@ -460,10 +454,7 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
         "iterations": outcome.iterations,
         "node_labels": list(problem.gamma.node_labels),
         "block_sizes": list(problem.gamma.block_sizes),
-        "topology": {
-            "nodes": list(problem.topology.nodes),
-            "sources": [list(s) for s in problem.topology.sources],
-        },
+        "topology": problem.topology.to_spec(),
         "summands": [list(s) for s in problem.summands],
         "witness_files": write_all("witness", outcome.witness),
         "certificate_files": write_all("certificate", cert.separator if cert else ()),

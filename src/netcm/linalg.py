@@ -47,11 +47,6 @@ def require_hermitian(m) -> np.ndarray:
     return 0.5 * (m + mh)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Tensor factorization of a global Hilbert space.
@@ -108,16 +103,6 @@ class SubsystemLayout:
     def node_dim(self, node: str) -> int:
         return int(np.prod([self.dims[self.index(l)] for l in self.factors_of(node)]))
 
-    def reorder(self, new_order: Sequence[str]) -> "SubsystemLayout":
-        if sorted(new_order) != sorted(self.labels):
-            raise ValueError(f"{tuple(new_order)} is not a permutation of {self.labels}")
-        idx = [self.index(l) for l in new_order]
-        return SubsystemLayout(
-            tuple(self.dims[i] for i in idx),
-            tuple(self.labels[i] for i in idx),
-            tuple(self.nodes[i] for i in idx),
-        )
-
 
 def partial_trace(rho, layout: SubsystemLayout, keep: Iterable[str]) -> np.ndarray:
     """Reduced operator on the kept factors, factor order preserved.
@@ -163,11 +148,6 @@ def permute_subsystems(rho, layout: SubsystemLayout, new_order: Sequence[str]) -
     return tensor.reshape(layout.dim, layout.dim)
 
 
-def eigvals_hermitian(m) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending."""
-    return np.linalg.eigvalsh(require_hermitian(_as_matrix(m)))
-
-
 def trace_norm(m) -> float:
     """Sum of singular values."""
     m = _as_matrix(m)
@@ -183,7 +163,7 @@ def psd_margin(m) -> tuple[float, float]:
     tolerance scales with the spectral norm, read off the same eigenvalues,
     since rounding grows with the entries.
     """
-    vals = eigvals_hermitian(m)
+    vals = np.linalg.eigvalsh(require_hermitian(_as_matrix(m)))
     scale = float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
     return float(vals[0]) if vals.size else 0.0, PSD_BASE_TOL * (1.0 + scale)
 

@@ -1,9 +1,10 @@
 """Local observable sets and orthogonal operator bases.
 
 An observable set is one stack of operators per node, as the moment kernel
-reads it.  :func:`_full_product_stack` forms a node's product basis for both
-the full product sets and the triangle criteria, which use the plain
-arrays, with no observable set.
+reads it, and an orthogonal basis is one such stack.
+:func:`_full_product_stack` forms a node's product basis for both the full
+product sets and the triangle criteria, which use the plain arrays, with no
+observable set.
 """
 
 from __future__ import annotations
@@ -15,59 +16,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, SubsystemLayout, _as_matrix, require_hermitian
+from .linalg import SubsystemLayout, require_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class OrthogonalBasis:
-    """Complete set of d^2 Hermitian operators with tr(G_a G_b) = d * delta_ab.
-
-    The identity is always the first element.
-    """
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elems = tuple(_as_matrix(g).copy() for g in self.elements)
-        d = elems[0].shape[0]
-        if len(elems) != d * d:
-            raise ValueError(f"need d^2 = {d * d} elements, got {len(elems)}")
-        for g in elems:
-            require_hermitian(g)
-            g.flags.writeable = False  # bases are shared (see orthogonal_basis)
-        if np.abs(elems[0] - np.eye(d)).max() > HERMITICITY_TOL:
-            raise ValueError("first basis element must be the identity")
-        gram = np.array([[np.trace(a @ b).real for b in elems] for a in elems])
-        if np.abs(gram - d * np.eye(d * d)).max() > 1e-10:
-            raise ValueError("basis violates tr(G_a G_b) = d * delta_ab")
-        object.__setattr__(self, "elements", elems)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-
 @functools.lru_cache(maxsize=None)
-def orthogonal_basis(d: int) -> OrthogonalBasis:
+def orthogonal_basis(d: int) -> np.ndarray:
     """Identity plus generalized Gell-Mann matrices rescaled to tr(G G') = d delta.
 
+    A complex ``(d^2, d, d)`` stack, Hermitian and orthogonal by construction.
     Ordering: identity, then for each index pair j < k (lexicographic) the
     symmetric and antisymmetric elements, then the diagonal family.  For
     d = 2 this reproduces the Pauli basis.  Cached: every call with the same
-    ``d`` returns the same (read-only) basis.
+    ``d`` returns the same read-only array.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -86,7 +50,9 @@ def orthogonal_basis(d: int) -> OrthogonalBasis:
         diag[:l] = 1.0
         diag[l] = -l
         elems.append(scale * np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag))
-    return OrthogonalBasis(tuple(elems))
+    basis = np.stack(elems)
+    basis.flags.writeable = False  # shared by every caller (see the cache above)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -139,8 +105,8 @@ def product_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
 
 def _full_product_stack(layout: SubsystemLayout, node: str) -> np.ndarray:
     """A node's full product basis: the :func:`product_stack` of its factors'
-    :func:`orthogonal_basis` elements, the node identity first."""
-    return product_stack([np.stack(list(orthogonal_basis(layout.dims[layout.index(l)])))
+    :func:`orthogonal_basis` stacks, the node identity first."""
+    return product_stack([orthogonal_basis(layout.dims[layout.index(l)])
                           for l in layout.factors_of(node)])
 
 

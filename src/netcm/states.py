@@ -7,8 +7,7 @@ marginals come from the reshaped vector, so a 16-qubit GHZ state needs a
 vector of 2^16 entries, not a 2^16 x 2^16 matrix.  Every other state holds
 its dense matrix.  Criteria read states only through
 :meth:`DensityOperator.marginal_matrix`; the dense matrix of a noisy pure
-state is built when something asks for ``.matrix`` (permutations, network
-assembly).
+state is built when something asks for ``.matrix`` (network assembly).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 from .linalg import (
     SubsystemLayout,
     _as_matrix,
-    kron,
     partial_trace,
     permute_subsystems,
     require_hermitian,
@@ -89,11 +87,6 @@ class DensityOperator:
         gives ``[[tr rho]]``.
         """
         return partial_trace(self.matrix, self.layout, labels)
-
-    def permuted(self, new_order: Sequence[str]) -> "DensityOperator":
-        return DensityOperator._trusted(
-            permute_subsystems(self.matrix, self.layout, new_order), self.layout.reorder(new_order)
-        )
 
     def with_layout(self, layout: SubsystemLayout) -> "DensityOperator":
         """Same matrix under a different factorization of equal total dimension."""
@@ -286,7 +279,7 @@ def btn_assemble(rho_a: DensityOperator, rho_b: DensityOperator, rho_c: DensityO
             raise ValueError(f"source {name} must be bipartite with equal local dimensions, "
                              f"got dims {src.layout.dims}")
     da, db, dc = (s.layout.dims[0] for s in (rho_a, rho_b, rho_c))
-    big = kron(rho_b.matrix, kron(rho_c.matrix, rho_a.matrix))
+    big = np.kron(rho_b.matrix, np.kron(rho_c.matrix, rho_a.matrix))
     transient = SubsystemLayout(
         (db, db, dc, dc, da, da), ("C2", "A1", "A2", "B1", "B2", "C1")
     )
@@ -321,7 +314,7 @@ def network_state(topology: NetworkTopology, sources: Sequence[DensityOperator])
             final_labels.setdefault(node, []).append(label)
     big = sources[0].matrix
     for src in sources[1:]:
-        big = kron(big, src.matrix)
+        big = np.kron(big, src.matrix)
     transient = SubsystemLayout(tuple(transient_dims), tuple(transient_labels))
     order, order_nodes = [], []
     for x in topology.nodes:

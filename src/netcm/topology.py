@@ -37,6 +37,10 @@ class NetworkTopology:
                 raise ValueError(f"source {s} touches all {len(self.nodes)} nodes; "
                                  "sources may feed at most N-1 of them")
 
+    def to_spec(self) -> dict:
+        """The JSON form ``{"nodes": [...], "sources": [[...], ...]}`` that reports record."""
+        return {"nodes": list(self.nodes), "sources": [list(s) for s in self.sources]}
+
     def is_ncds(self) -> bool:
         """True iff any two nodes share at most one common source."""
         seen = set()

@@ -18,14 +18,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import pytest
 
-from netcm.covariance import BlockCovarianceMatrix, covariance_matrix, moments
+from netcm.covariance import BlockCovarianceMatrix, _raw_moments, covariance_matrix
 from netcm.criteria import _margin_given_means
 from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                FeasibilityOutcome, FeasibilityProblem,
                                InfeasibilityCertificate, _hyperplane_test, _Stack,
                                _uncovered_pair, verify_certificate)
-from netcm.linalg import SubsystemLayout, kron, partial_trace, psd_project
-from netcm.observables import ObservableSet, OrthogonalBasis, full_product_set
+from netcm.linalg import SubsystemLayout, partial_trace, permute_subsystems, psd_project
+from netcm.observables import ObservableSet, full_product_set
 from netcm.states import DensityOperator, random_source, triangle_layout
 
 # plain_dykstra's own plateau rule: a residual plateau below RESIDUAL_FLOOR *
@@ -153,7 +153,7 @@ def reduced_observable_decomposition(sources) -> tuple[np.ndarray, ...]:
 
     cm_c = source_cm(relabel(rho_c, ("A2", "B1"), (a_node, b_node)),
                      a_node, reduced_set(a_node, 2), b_node, reduced_set(b_node, 1))
-    rho_b_ac = relabel(rho_b, ("C2", "A1"), (c_node, a_node)).permuted(("A1", "C2"))
+    rho_b_ac = permuted(relabel(rho_b, ("C2", "A1"), (c_node, a_node)), ("A1", "C2"))
     cm_b = source_cm(rho_b_ac, a_node, reduced_set(a_node, 1), c_node, reduced_set(c_node, 2))
     cm_a = source_cm(relabel(rho_a, ("B2", "C1"), (b_node, c_node)),
                      b_node, reduced_set(b_node, 2), c_node, reduced_set(c_node, 1))
@@ -187,7 +187,7 @@ def embed(matrix, node: str, layout: SubsystemLayout,
         )
     before = int(np.prod(layout.dims[: positions[0]]))
     after = int(np.prod(layout.dims[positions[-1] + 1:]))
-    return kron(np.eye(before), kron(matrix, np.eye(after)))
+    return np.kron(np.eye(before), np.kron(matrix, np.eye(after)))
 
 
 def brute_force_cm(obs_set: ObservableSet, rho: DensityOperator) -> np.ndarray:
@@ -231,6 +231,15 @@ def node_marginal(rho: DensityOperator, *nodes: str) -> DensityOperator:
     return marginal(rho, [l for x in nodes for l in rho.layout.factors_of(x)])
 
 
+def permuted(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
+    """The state with its factors (and their labels and nodes) in ``order``."""
+    lay = rho.layout
+    matrix = permute_subsystems(rho.matrix, lay, order)  # checks that order is a permutation
+    idx = [lay.index(l) for l in order]
+    return DensityOperator._trusted(matrix, SubsystemLayout(
+        *(tuple(t[i] for i in idx) for t in (lay.dims, lay.labels, lay.nodes))))
+
+
 def swap_node_factors(rho: DensityOperator, node: str) -> DensityOperator:
     """Exchange the two factors of a bipartite node (alternative wiring)."""
     f = rho.layout.factors_of(node)
@@ -239,7 +248,7 @@ def swap_node_factors(rho: DensityOperator, node: str) -> DensityOperator:
     order = list(rho.layout.labels)
     i, j = order.index(f[0]), order.index(f[1])
     order[i], order[j] = order[j], order[i]
-    out = rho.permuted(order)
+    out = permuted(rho, order)
     # restore the original factor names so downstream labels stay stable
     labels = list(out.layout.labels)
     labels[i], labels[j] = labels[j], labels[i]
@@ -321,7 +330,7 @@ def apply_local_unitaries(rho: DensityOperator, unitaries: Mapping[str, np.ndarr
         ops.append(u)
     big = ops[0]
     for u in ops[1:]:
-        big = kron(big, u)
+        big = np.kron(big, u)
     return DensityOperator(big @ rho.matrix @ big.conj().T, rho.layout)
 
 
@@ -351,7 +360,7 @@ def apply_local_channels(rho: DensityOperator, channels: Mapping[str, KrausChann
         after = int(np.prod(dims[start + count:])) if start + count < len(dims) else 1
         out = None
         for k in chan.kraus_ops:
-            big = kron(np.eye(before), kron(k, np.eye(after)))
+            big = np.kron(np.eye(before), np.kron(k, np.eye(after)))
             term = big @ mat @ big.conj().T
             out = term if out is None else out + term
         mat = out
@@ -384,10 +393,28 @@ def random_kraus_channel(din: int, dout: int, n_ops: int, rng: np.random.Generat
 # observables, conjugation expansions, product-state CMs and congruences.
 
 
-def bloch_vector(basis: OrthogonalBasis, rho) -> np.ndarray:
-    """Expansion coefficients tr(G_a rho); real for Hermitian rho."""
+def bloch_vector(basis: np.ndarray, rho) -> np.ndarray:
+    """Expansion coefficients tr(G_a rho) in a basis stack; real for Hermitian rho."""
     rho = np.asarray(rho)
-    return np.array([np.trace(g @ rho).real for g in basis.elements])
+    return np.array([np.trace(g @ rho).real for g in basis])
+
+
+def moments(observables: Sequence, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Means <O_m> and the Hermitian CM <O_m O_n> - <O_m><O_n> of observables on one state.
+
+    The second moments are unsymmetrized: the real part is the symmetrized
+    CM, and the imaginary part carries the commutators of same-node
+    observables, which enter product formulas (the real part of a Kronecker
+    product of complex CMs differs from the Kronecker product of their real
+    parts whenever those observables fail to commute).  The means are the
+    Bloch vector when the O_m are an orthogonal basis.
+    """
+    rho = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+    stack = np.stack(observables)
+    if stack.shape[1:] != rho.shape:
+        raise ValueError("observable dimensions do not match the state")
+    means, second = _raw_moments(stack, rho)
+    return means, second - np.outer(means, means)
 
 
 def reduced_observable(obs_matrix, dims: tuple[int, int], marginal, keep: int = 2) -> np.ndarray:
@@ -414,10 +441,10 @@ def reduced_observable(obs_matrix, dims: tuple[int, int], marginal, keep: int = 
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
-def orthogonal_from_unitary(u, basis: OrthogonalBasis) -> np.ndarray:
-    """Real matrix O with U^dag G_a U = sum_b O_ab G_b; O is orthogonal."""
+def orthogonal_from_unitary(u, basis: np.ndarray) -> np.ndarray:
+    """Real matrix O with U^dag G_a U = sum_b O_ab G_b for a basis stack; O is orthogonal."""
     u = np.asarray(u, dtype=complex)
-    d = basis.dim
+    d = basis.shape[1]
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} does not match basis dimension {d}")
     dev = float(np.abs(u.conj().T @ u - np.eye(d)).max())

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from netcm.covariance import covariance_matrix, moments
+from netcm.covariance import covariance_matrix
 from netcm.criteria import (
     btn_cm_residual,
     btn_decompose,
@@ -22,7 +22,6 @@ from netcm.feasibility import FeasibilityProblem, solve, verify_witness
 from netcm.linalg import SubsystemLayout
 from netcm.observables import (
     ObservableSet,
-    OrthogonalBasis,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
@@ -47,6 +46,7 @@ from conftest import (
     embed,
     expectation,
     marginal,
+    moments,
     orthogonal_from_unitary,
     product_state_cm,
     random_kraus_channel,
@@ -337,7 +337,9 @@ class TestAcceptance9Properties:
             gamma_u = covariance_matrix(obs, apply_local_unitaries(rho, us))
             o = np.zeros((48, 48))
             for i, x in enumerate("ABC"):
-                basis = OrthogonalBasis(tuple(obs.stacks[x]))
+                basis = obs.stacks[x]  # the node's 16-element product basis
+                gram = np.einsum("aij,bji->ab", basis, basis).real
+                assert np.abs(gram - 4.0 * np.eye(16)).max() <= 1e-10
                 o[16 * i:16 * (i + 1), 16 * i:16 * (i + 1)] = orthogonal_from_unitary(us[x], basis)
             assert np.abs(o @ gamma.matrix @ o.T - gamma_u.matrix).max() <= 1e-8
         self._record("orthogonal congruence", start)

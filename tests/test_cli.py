@@ -136,11 +136,36 @@ class TestCheck:
         ('{"family": "ghz", "visibility": [1]}', "'visibility'"),
         ('{"family": "ghz", "params": {"parties": [3]}}', "'params.parties'"),
         ('{"family": "ghz", "split": 5}', "'split'"),
+        # once converted instead of rejected: a string read as a list, and a
+        # float, string or bool read as an integer or a number
+        ('{"family": "ghz", "params": {"levels": "01"}}', "'params.levels'"),
+        ('{"family": "ghz", "params": {"levels": [0.5, 1.9]}}', "'params.levels'"),
+        ('{"family": "ghz", "params": {"parties": 3.7}}', "'params.parties'"),
+        ('{"family": "ghz", "params": {"parties": "3"}}', "'params.parties'"),
+        ('{"family": "ghz", "params": {"parties": true}}', "'params.parties'"),
+        ('{"family": "ghz", "visibility": "0.3"}', "'visibility'"),
+        ('{"family": "ghz", "visibility": true}', "'visibility'"),
+        ('{"family": "dicke", "params": {"k": 2}, "split": "22"}', "'split'"),
+        ('{"family": "ghz", "split": 0}', "'split'"),
+        ('{"family": "dicke", "params": {"k": 2.9}, "split": [2, 2]}', "'params.k'"),
+        ('{"family": "bell", "params": {"dim": "2"}}', "'params.dim'"),
+        ('{"family": "btn", "params": {"bell_dim": 2.0}}', "'params.bell_dim'"),
+        ('{"family": "file", "params": {"path": "rho.ncmx", "dims": "22"}}', "'params.dims'"),
+        ('{"family": "file", "params": {"path": "rho.ncmx", "dims": [2, 2], "labels": "AB"}}',
+         "'params.labels'"),
+        ('{"family": "file", "params": {"path": "rho.ncmx", "dims": [2, 2], "nodes": "AB"}}',
+         "'params.nodes'"),
+        ('{"family": "file", "params": {"path": "rho.ncmx", "dims": [2, 2], "labels": ""}}',
+         "'params.labels'"),
     ])
-    def test_state_json_value_of_the_wrong_type_is_64(self, spec, field, tmp_path, capsys):
+    def test_state_json_value_of_the_wrong_type_is_64(self, spec, field, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "rho.ncmx", np.eye(4, dtype=complex) / 4)  # for the file family
+        tail = (["--criterion", "xi-psd"] if json.loads(spec)["family"] in ("dicke", "btn")
+                else ["--observables", "pauli-z"])
         out = tmp_path / "report.json"
-        code = run(["check", "--state-json", spec, "--observables", "pauli-z",
-                    "--output", str(out)])
+        code = run(["check", "--state-json", spec, "--output", str(out)] + tail)
         assert code == 64
         assert not out.exists()
         assert f"state spec field {field} has the wrong type" in capsys.readouterr().err

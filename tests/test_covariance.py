@@ -8,7 +8,6 @@ from netcm.covariance import (
     _node_stacks,
     covariance_matrix,
     load_cm,
-    moments,
     save_cm,
     white_noise_moments,
 )
@@ -37,6 +36,7 @@ from conftest import (
     brute_force_cm,
     convex_mix,
     embed,
+    moments,
     node_marginal,
     orthogonal_from_unitary,
     product_state_cm,

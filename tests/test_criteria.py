@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from netcm.covariance import BlockCovarianceMatrix, _centred, _stacked_moments, covariance_matrix, moments
+from netcm.covariance import BlockCovarianceMatrix, _centred, _stacked_moments, covariance_matrix
 from netcm.criteria import (
     _candidate_means,
     _margin_given_means,
@@ -49,6 +49,7 @@ from conftest import (
     _mean_grid,
     convex_mix,
     ghz_statistics_margin,
+    moments,
     node_marginal,
     recombine_cm,
     reduced_observable_decomposition,
@@ -264,7 +265,7 @@ class TestTrianglePass:
 
 
 def _basis(layout, label):
-    return np.stack(list(orthogonal_basis(layout.dims[layout.index(label)])))
+    return orthogonal_basis(layout.dims[layout.index(label)])
 
 
 def _pair_cross_cm(rho, fx, fy):

@@ -401,10 +401,18 @@ class TestCertificate:
         assert not verify_certificate(prob, InfeasibilityCertificate(pair=("A", "B")))
 
 
+def from_full(stack, ts):
+    """Full n x n summands as the solver's ``_Stack`` array, each restricted to its summand's rows."""
+    z = np.zeros(stack.shape)
+    for zk, t, ix in zip(z, ts, stack.index):
+        zk[:len(ix), :len(ix)] = np.asarray(t, dtype=float)[np.ix_(ix, ix)]
+    return z
+
+
 def stacked_affine_project(ts, problem):
     """The solver's stacked projection onto the affine set, on full n x n summands."""
     stack = _Stack(problem)
-    return list(stack.to_full(stack.affine(stack.from_full(ts))))
+    return list(stack.to_full(stack.affine(from_full(stack, ts))))
 
 
 def loop_affine_project(ts, problem):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from netcm.linalg import (
     SubsystemLayout,
-    eigvals_hermitian,
-    kron,
     partial_trace,
     permute_subsystems,
     psd_margin,
@@ -16,7 +14,6 @@ from netcm.linalg import (
     require_hermitian,
     trace_norm,
 )
-from netcm.observables import PAULI_Z
 
 from conftest import naive_partial_trace, random_unitary, sequential_partial_trace
 
@@ -29,22 +26,6 @@ def complex_matrix(rng, n, m=None):
 def hermitian(rng, n):
     g = complex_matrix(rng, n)
     return 0.5 * (g + g.conj().T)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_pair(self):
-        assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
-
-    def test_projector_product(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = kron(p0, p1)
-        expect = np.zeros((4, 4))
-        expect[1, 1] = 1.0  # |01>
-        assert np.allclose(out, expect)
 
 
 class TestPartialTrace:
@@ -156,22 +137,25 @@ class TestPermuteSubsystems:
 
 
 class TestSpectral:
+    # psd_margin gives the smallest eigenvalue and 1e-8 * (1 + the largest |eigenvalue|)
     def test_diagonal(self):
-        assert np.allclose(eigvals_hermitian(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
+        low, tol = psd_margin(np.diag([3.0, 1.0, 2.0]))
+        assert (low, tol) == (pytest.approx(1.0), pytest.approx(1e-8 * (1 + 3)))
 
     def test_two_by_two(self):
-        assert np.allclose(eigvals_hermitian(np.array([[1.0, 2.0], [2.0, 1.0]])), [-1, 3])
+        low, tol = psd_margin(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert (low, tol) == (pytest.approx(-1.0), pytest.approx(1e-8 * (1 + 3)))
 
     def test_ghz_projector(self):
         from netcm.states import ghz_state
 
-        vals = eigvals_hermitian(ghz_state(3, 2, (0, 1)).matrix)
-        assert np.allclose(vals[:7], 0.0, atol=1e-12)
-        assert abs(vals[-1] - 1.0) < 1e-12
+        low, tol = psd_margin(ghz_state(3, 2, (0, 1)).matrix)
+        assert abs(low) <= 1e-12
+        assert abs(tol - 1e-8 * (1 + 1)) <= 1e-8 * 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            psd_margin(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_require_hermitian_stack_rejects_one_bad_matrix(self, rng):
         stack = np.stack([hermitian(rng, 3) for _ in range(4)])
@@ -259,22 +243,7 @@ class TestSpectral:
     def test_psd_project_output_psd(self, rng):
         for _ in range(20):
             h = hermitian(rng, 6)
-            assert eigvals_hermitian(psd_project(h))[0] >= -1e-10
-
-
-@st.composite
-def small_hermitian(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    r = np.random.default_rng(seed)
-    g = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_hermitian(), small_hermitian(), small_hermitian())
-def test_kron_associative(a, b, c):
-    assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
+            assert psd_margin(psd_project(h))[0] >= -1e-10
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from netcm.linalg import SubsystemLayout, kron
+from netcm.linalg import SubsystemLayout
 from netcm.observables import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     ObservableSet,
-    OrthogonalBasis,
     full_product_set,
     named_observable_set,
     orthogonal_basis,
@@ -39,10 +38,17 @@ class TestOrthogonalBasis:
         for got, want in zip(b, (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)):
             assert np.abs(got - want).max() <= 1e-12
 
-    def test_d4_gram(self):
-        b = orthogonal_basis(4)
-        assert len(b) == 16
-        assert np.abs(gram(list(b)) - 4.0 * np.eye(16)).max() <= 1e-10
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_shape_and_identity_first(self, d):
+        b = orthogonal_basis(d)
+        assert b.shape == (d * d, d, d) and b.dtype == complex
+        assert np.array_equal(b[0], np.eye(d))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_hermitian_and_gram(self, d):
+        b = orthogonal_basis(d)
+        assert np.array_equal(b, np.swapaxes(b, 1, 2).conj())
+        assert np.abs(gram(list(b)) - d * np.eye(d * d)).max() <= 1e-10
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_completeness(self, d, rng):
@@ -52,14 +58,11 @@ class TestOrthogonalBasis:
         back = sum(np.trace(el @ m) / d * el for el in b)
         assert np.abs(back - m).max() <= 1e-10
 
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="delta"):
-            OrthogonalBasis((np.eye(2), PAULI_X, PAULI_X, PAULI_Z))
-
-    def test_cached_and_read_only(self):
-        b = orthogonal_basis(3)
-        assert orthogonal_basis(3) is b
-        assert not any(g.flags.writeable for g in b)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_read_only_and_cached(self, d):
+        b = orthogonal_basis(d)
+        assert orthogonal_basis(d) is b
+        assert not b.flags.writeable and not any(g.flags.writeable for g in b)
         with pytest.raises(ValueError):
             b[1][0, 0] = 1.0
 
@@ -124,7 +127,7 @@ class TestEmbed:
     def test_sigma_z_on_first(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
         out = embed(PAULI_Z, "A", layout)
-        assert np.allclose(out, kron(PAULI_Z, np.eye(4)))
+        assert np.allclose(out, np.kron(PAULI_Z, np.eye(4)))
 
     def test_identity_observable(self):
         layout = SubsystemLayout((2, 3), ("A", "B"))
@@ -134,7 +137,7 @@ class TestEmbed:
     def test_factor_support_within_node(self):
         layout = SubsystemLayout((2, 2, 2), ("A1", "A2", "B"), ("A", "A", "B"))
         out = embed(PAULI_X, "A", layout, factor_support=("A2",))
-        assert np.allclose(out, kron(np.eye(2), kron(PAULI_X, np.eye(2))))
+        assert np.allclose(out, np.kron(np.eye(2), np.kron(PAULI_X, np.eye(2))))
 
     def test_unknown_node(self):
         layout = SubsystemLayout((2,), ("A",))
@@ -144,7 +147,7 @@ class TestEmbed:
 
 class TestProductSet:
     def qubit_pair(self):
-        return product_stack([np.stack(list(orthogonal_basis(2)))] * 2)
+        return product_stack([orthogonal_basis(2)] * 2)
 
     def test_qubit_pair_count(self):
         assert len(self.qubit_pair()) == 16
@@ -167,21 +170,21 @@ class TestReducedObservable:
         rho1 = random_density(2, rng)
         for ga in orthogonal_basis(2):
             for gb in orthogonal_basis(2):
-                red = reduced_observable(kron(ga, gb), (2, 2), rho1, keep=2)
+                red = reduced_observable(np.kron(ga, gb), (2, 2), rho1, keep=2)
                 want = np.trace(ga @ rho1) * gb
                 assert np.abs(red - want).max() <= 1e-12
 
     def test_keep_first_factor(self, rng):
         rho2 = random_density(3, rng)
-        a = kron(PAULI_X, orthogonal_basis(3)[4])
+        a = np.kron(PAULI_X, orthogonal_basis(3)[4])
         red = reduced_observable(a, (2, 3), rho2, keep=1)
         want = np.trace(orthogonal_basis(3)[4] @ rho2) * PAULI_X
         assert np.abs(red - want).max() <= 1e-12
 
     def test_zz_zx_with_ground_state(self):
         ground = np.diag([1.0, 0.0])
-        assert np.abs(reduced_observable(kron(PAULI_Z, PAULI_X), (2, 2), ground, 2) - PAULI_X).max() <= 1e-12
-        assert np.abs(reduced_observable(kron(PAULI_X, PAULI_X), (2, 2), ground, 2)).max() <= 1e-12
+        assert np.abs(reduced_observable(np.kron(PAULI_Z, PAULI_X), (2, 2), ground, 2) - PAULI_X).max() <= 1e-12
+        assert np.abs(reduced_observable(np.kron(PAULI_X, PAULI_X), (2, 2), ground, 2)).max() <= 1e-12
 
     def test_linear(self, rng):
         rho1 = random_density(2, rng)

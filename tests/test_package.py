@@ -1,5 +1,6 @@
 """What the package promises its users: the names the benchmark and the
-scripts import, the README's Python example and its CLI examples."""
+scripts import, the README's Python example and its CLI examples; and that
+the package's modules import nothing they do not use."""
 
 import ast
 import contextlib
@@ -64,3 +65,24 @@ def test_readme_cli_examples_parse():
     assert len(commands) >= 7
     for argv in commands:
         build_parser(argv[0]).parse_args(argv)
+
+
+def test_src_modules_use_every_import():
+    # every module-level import is named by code of its module; __init__.py's
+    # imports are re-exports, and __future__ imports are compiler flags
+    unused = []
+    for path in sorted((ROOT / "src" / "netcm").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), path.name)
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.partition(".")[0]): node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused

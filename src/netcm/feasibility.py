@@ -21,23 +21,22 @@ constraints, relative to the CM's own scale, is returned as an explicit witness.
 The target scales with the CM at every size, so a verdict does not depend
 on the CM's units beyond rounding.
 
-Infeasibility is proved by a separating hyperplane read off the gap between
-the two iterates.  Let Y be the PSD iterate minus the affine iterate,
-projected onto lin(A)^perp (symmetrized, and each node's free diagonal
-blocks replaced by their mean over the summands that carry the node), let
-eps = max_k max(-lambda_min(Y_k), 0), and let a0 be any point of A.  Every
-feasible tuple T lies in A, so <Y, T> = <Y, a0>, and has PSD summands with
-sum_k tr T_k = tr Gamma, so <Y, T> >= -eps tr Gamma.  Hence
+Infeasibility is proved by one symmetric n x n matrix G.  Every decomposition
+has Gamma = sum_k T_k with T_k PSD and zero outside the rows S_k of summand
+k's nodes, so <G, Gamma> >= -eps tr Gamma for
+eps = max_k max(-lambda_min(G[S_k, S_k]), 0), and
 
-    <Y, a0> < -eps tr Gamma - delta
+    <G, Gamma> < -eps tr Gamma - delta
 
-proves that no decomposition exists.  The margin delta = CERT_RTOL ||Y|| ||a0||
-(Frobenius norms) covers the rounding of the inner product, of the
-eigenvalues and of a0 itself.  The check runs at iterations 1, 2, 4, 8, ...
-and at the cap, so converging solves pay for O(log iterations) checks; a
-certificate that passes it is confirmed by ``verify_certificate`` before the
-solver stops with status "infeasible", so that status always carries a
-proof; a run that reaches the cap without one or a witness is "inconclusive".
+proves that none exists; delta = CERT_RTOL ||G|| ||Gamma|| (Frobenius norms)
+covers rounding.  The solver's G is Y, the PSD iterate minus the affine
+iterate projected onto lin(A)^perp (symmetrized, each node's free diagonal
+blocks replaced by their mean over its carriers), written into rows S_k of
+one matrix: a node's diagonal block is then the same in every carrier and,
+in an NCDS network, each node pair lies in at most one summand, so
+G[S_k, S_k] = Y_k.  The test runs at iterations 1, 2, 4, 8, ... and at the
+cap; ``verify_certificate`` runs it from G alone.  A run that reaches the
+cap with neither a certificate nor a witness is "inconclusive".
 
 Summands are stored compactly: summand k lives on the rows and columns of
 its nodes only, padded with zeros to a common size m (PSD projection keeps
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -62,11 +60,11 @@ from .topology import NetworkTopology
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 50000
-# certificate margin delta = CERT_RTOL * ||Y|| * ||a0||.  With unit roundoff
-# u = 1.1e-16, rounding moves <Y, a0> by at most about K m^2 u ||Y|| ||a0||,
-# the eigenvalues by about m u ||Y|| (times tr Gamma <= sqrt(K m) ||a0||) and
-# a0 off A by about u ||a0||: all below 1e-9 ||Y|| ||a0|| for stacks of up to
-# 10^6 entries, far beyond what a dense solver handles
+# certificate margin delta = CERT_RTOL * ||G|| * ||Gamma||.  With unit roundoff
+# u = 1.1e-16, rounding moves <G, Gamma> by at most about n^2 u ||G|| ||Gamma||
+# and the eigenvalues by about n u ||G|| (times tr Gamma <= sqrt(n) ||Gamma||):
+# both below 1e-9 ||G|| ||Gamma|| for CMs of up to 10^6 entries, far beyond
+# what a dense solver handles
 CERT_RTOL = 1e-9
 # Anderson acceleration (module docstring): (dW, dF) pairs kept, Tikhonov weight per ||f||^2
 ANDERSON_DEPTH = 5
@@ -110,14 +108,13 @@ class InfeasibilityCertificate:
     """A checkable proof that no source decomposition exists.
 
     Either ``pair``, two nodes that no summand carries whose CM block is
-    nonzero (largest entry ``block_max_abs``), or ``separator``, one full
-    n x n matrix per summand defining a separating hyperplane (see the
-    module docstring) together with the solver's ``epsilon``,
+    nonzero (largest entry ``block_max_abs``), or ``matrix``, the n x n G of
+    the module docstring, together with the solver's ``epsilon``,
     ``inner_product`` and ``delta`` and the ``iteration`` it was found at.
-    ``verify_certificate`` reads only the pair or the separator.
+    ``verify_certificate`` reads only the pair or the matrix.
     """
 
-    separator: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    matrix: np.ndarray | None = field(default=None, repr=False)
     pair: tuple[str, str] | None = None
     block_max_abs: float = 0.0
     epsilon: float = 0.0
@@ -167,8 +164,27 @@ def _scale(gamma: BlockCovarianceMatrix) -> float:
     return float(np.abs(gamma.matrix).max(initial=0.0))
 
 
-def _node_slices(gamma: BlockCovarianceMatrix) -> dict[str, slice]:
-    return {x: gamma.node_slice(x) for x in gamma.node_labels}
+def _summand_rows(problem: FeasibilityProblem) -> list[np.ndarray]:
+    """The CM rows of each summand's nodes, in ascending order."""
+    gamma = problem.gamma
+    node = np.repeat(gamma.node_labels, gamma.block_sizes)
+    return [np.flatnonzero(np.isin(node, s)) for s in problem.summands]
+
+
+def _certificate_terms(g: np.ndarray, gamma: np.ndarray,
+                       rows: Sequence[np.ndarray]) -> tuple[float, float, float]:
+    """(eps, <G, Gamma>, delta) of a symmetric G (module docstring).
+
+    The principal submatrices are zero-padded into one stack, which adds only
+    zero eigenvalues, so one batched ``eigvalsh`` gives eps.
+    """
+    m = max(len(ix) for ix in rows)
+    blocks = np.zeros((len(rows), m, m))
+    for b, ix in zip(blocks, rows):
+        b[:len(ix), :len(ix)] = g[np.ix_(ix, ix)]
+    eps = max(0.0, -float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+    delta = CERT_RTOL * float(np.linalg.norm(g)) * float(np.linalg.norm(gamma))
+    return eps, float(np.vdot(g, gamma)), delta
 
 
 class _Stack:
@@ -189,8 +205,7 @@ class _Stack:
         node = np.repeat(np.arange(len(sizes)), sizes)  # node index of each CM row
         first = np.cumsum(sizes) - sizes                # first CM row of each node
         first_diag = np.cumsum(sizes**2) - sizes**2     # first entry of each node in diag
-        self.index = [np.flatnonzero([gamma.node_labels[j] in s for j in node])
-                      for s in problem.summands]
+        self.index = _summand_rows(problem)
         k_count, m = len(self.index), max(len(ix) for ix in self.index)
         self.fixed = np.ones((k_count, m, m), dtype=bool)
         self.target = np.zeros((k_count, m, m))
@@ -240,6 +255,14 @@ class _Stack:
         y.reshape(-1)[self.free] = (self._group_sums(y) / self.counts)[self.group]
         return y
 
+    def scatter(self, z: np.ndarray) -> np.ndarray:
+        """One n x n matrix holding each summand's block on its rows; exact for a
+        separator, whose carriers agree on every shared (diagonal) block."""
+        g = np.zeros((self.n, self.n))
+        for zk, ix in zip(z, self.index):
+            g[np.ix_(ix, ix)] = zk[:len(ix), :len(ix)]
+        return g
+
     def to_full(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
         out = []
         for zk, ix in zip(z, self.index):
@@ -263,14 +286,6 @@ def _uncovered_pair(problem: FeasibilityProblem) -> tuple[tuple[str, str] | None
     return pair, worst
 
 
-def _hyperplane_test(y: np.ndarray, a0: np.ndarray, trace: float) -> tuple[bool, float, float, float]:
-    """Whether ``y`` (already in lin(A)^perp) separates: (passes, eps, <y, a0>, delta)."""
-    eps = max(0.0, -float(np.linalg.eigvalsh(y)[..., 0].min()))
-    inner = float(np.vdot(y, a0))
-    delta = CERT_RTOL * float(np.linalg.norm(y)) * float(np.linalg.norm(a0))
-    return inner < -eps * trace - delta, eps, inner, delta
-
-
 def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityOutcome:
     """Anderson-accelerated Dykstra projections between the PSD cones and the affine set.
@@ -278,7 +293,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
     Stops as soon as the PSD iterate satisfies the affine constraints within
     the target ``tol * max|Gamma_ij|`` (status "feasible", the
     iterate is the witness), or as soon as a separating-hyperplane
-    certificate verifies (status "infeasible", see the module docstring).
+    certificate G passes (status "infeasible", see the module docstring).
     A CM block above the target between two nodes that no source links is
     "infeasible" at once, with that pair as the certificate.  At
     ``max_iter`` with neither the verdict is "inconclusive".
@@ -300,9 +315,8 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
         return FeasibilityOutcome("infeasible", None, blocked, 0, np.array([blocked]), cert)
     stack = _Stack(problem)
-    a0 = stack.start()
-    trace = problem.gamma.trace()
-    w = psd_project(a0)
+    gamma, trace = problem.gamma.matrix, problem.gamma.trace()
+    w = psd_project(stack.start())
     history, diffs = [], []  # residuals; Anderson's (dW, dF) pairs, oldest first
     status, certificate, next_check = "inconclusive", None, 1
     for it in range(1, max_iter + 1):
@@ -317,14 +331,13 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
             break
         if it == next_check or it == max_iter:
             next_check *= 2
-            sep = stack.separator(y - x)
-            ok, eps, inner, delta = _hyperplane_test(sep, a0, trace)
-            if ok:
-                cert = InfeasibilityCertificate(stack.to_full(sep), epsilon=eps, inner_product=inner,
-                                                delta=delta, iteration=it)
-                if verify_certificate(problem, cert):
-                    status, certificate = "infeasible", cert
-                    break
+            g = stack.scatter(stack.separator(y - x))
+            eps, inner, delta = _certificate_terms(g, gamma, stack.index)
+            if inner < -eps * trace - delta:
+                status = "infeasible"
+                certificate = InfeasibilityCertificate(g, epsilon=eps, inner_product=inner,
+                                                       delta=delta, iteration=it)
+                break
         f = x - y
         if it > 1:
             diffs.append(((w - last_w).ravel(), (f - last_f).ravel()))
@@ -364,8 +377,8 @@ def verify_witness(problem: FeasibilityProblem, witness: Sequence[np.ndarray],
 
 def _affine_violation(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> float:
     gamma = problem.gamma
-    sl = _node_slices(gamma)
     nodes = gamma.node_labels
+    sl = {x: gamma.node_slice(x) for x in nodes}
     worst = 0.0
     for t, s in zip(ts, problem.summands):
         for i, x in enumerate(nodes):
@@ -386,66 +399,44 @@ def _affine_violation(ts: Sequence[np.ndarray], problem: FeasibilityProblem) -> 
 def verify_certificate(problem: FeasibilityProblem, certificate: InfeasibilityCertificate) -> bool:
     """Independent check that ``certificate`` proves ``problem`` infeasible.
 
-    Only the certificate's pair or separator matrices are read; its epsilon,
-    inner product and margin are recomputed here, on full n x n matrices,
-    without the solver's compact layout.  A pair certificate holds if no
-    summand carries the pair and the CM block between them is nonzero.  A
-    separator must be finite, lie in lin(A)^perp within ``CERT_RTOL``
-    relative to its norm, and satisfy <Y, a0> < -eps tr Gamma - delta for
-    the equal-share point a0 of the affine set (module docstring).
+    Only the certificate's pair or matrix is read.  A pair certificate holds
+    if no summand carries the pair and the CM block between them is nonzero.
+    A matrix G must be finite and symmetric and pass the module docstring's
+    test, with eps, <G, Gamma> and delta recomputed here from G's principal
+    submatrices on the summands.
     """
     gamma = problem.gamma
     if certificate.pair is not None:
         x, y = certificate.pair
         return (not any(x in s and y in s for s in problem.summands)
                 and float(np.abs(gamma.block(x, y)).max(initial=0.0)) > 0.0)
-    if len(certificate.separator) != len(problem.summands):
-        raise ValueError(f"need {len(problem.summands)} separator matrices, "
-                         f"got {len(certificate.separator)}")
-    n = gamma.dim
-    if any(np.shape(t) != (n, n) for t in certificate.separator):
-        raise ValueError("separator shapes do not match the CM")
-    ys = np.array(certificate.separator, dtype=float)
-    if not np.isfinite(ys).all():
+    if np.shape(certificate.matrix) != (gamma.dim, gamma.dim):
+        raise ValueError(f"certificate matrix shape {np.shape(certificate.matrix)} "
+                         f"does not match the {gamma.dim} x {gamma.dim} CM")
+    g = np.asarray(certificate.matrix, dtype=float)
+    if not (np.isfinite(g).all() and np.array_equal(g, g.T)):
         return False
-    sl = _node_slices(gamma)
-    proj = 0.5 * (ys + np.swapaxes(ys, 1, 2))
-    a0 = np.zeros_like(ys)
-    for x in gamma.node_labels:
-        carriers = [k for k, s in enumerate(problem.summands) if x in s]
-        proj[carriers, sl[x], sl[x]] = proj[carriers, sl[x], sl[x]].mean(axis=0)
-        a0[carriers, sl[x], sl[x]] = gamma.block(x, x) / len(carriers)
-    for k, s in enumerate(problem.summands):
-        for x, y in combinations(s, 2):
-            a0[k, sl[x], sl[y]] = gamma.block(x, y)
-            a0[k, sl[y], sl[x]] = gamma.block(y, x)
-    if np.linalg.norm(ys - proj) > CERT_RTOL * np.linalg.norm(ys):
-        return False
-    eps = max(0.0, -float(np.linalg.eigvalsh(proj)[:, 0].min()))
-    inner = float(np.vdot(proj, a0))
-    delta = CERT_RTOL * float(np.linalg.norm(proj)) * float(np.linalg.norm(a0))
+    eps, inner, delta = _certificate_terms(g, gamma.matrix, _summand_rows(problem))
     return inner < -eps * gamma.trace() - delta
 
 
 def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, directory) -> Path:
-    """Write one NCMX file per summand plus a JSON manifest.
+    """Write the witness or certificate as NCMX files plus a JSON manifest.
 
-    A feasible outcome writes its witness as ``witness_{k}.ncmx``; an
-    infeasible one writes its separator, if it has one, as
-    ``certificate_{k}.ncmx`` and records the certificate in the manifest.
-    The manifest's ``summands`` lists the nodes of each file's summand, in file order.
+    A feasible outcome writes summand k of its witness as ``witness_{k}.ncmx``;
+    an infeasible one writes its matrix G, if it has one, as
+    ``certificate.ncmx`` and records the certificate in the manifest.  The
+    manifest's ``summands`` lists the nodes of each summand, in witness file order.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    def write_all(prefix: str, mats) -> list[str]:
-        names = []
-        for k, t in enumerate(mats or ()):
-            names.append(f"{prefix}_{k}.ncmx")
-            ncmx.write_matrix(directory / names[-1], t.astype(complex))
-        return names
+    def write(name: str, m: np.ndarray) -> str:
+        ncmx.write_matrix(directory / name, m.astype(complex))
+        return name
 
     cert = outcome.certificate
+    g = cert.matrix if cert else None
     manifest = {
         "format": "netcm-witness",
         "version": 1,
@@ -456,8 +447,8 @@ def export_witness(problem: FeasibilityProblem, outcome: FeasibilityOutcome, dir
         "block_sizes": list(problem.gamma.block_sizes),
         "topology": problem.topology.to_spec(),
         "summands": [list(s) for s in problem.summands],
-        "witness_files": write_all("witness", outcome.witness),
-        "certificate_files": write_all("certificate", cert.separator if cert else ()),
+        "witness_files": [write(f"witness_{k}.ncmx", t) for k, t in enumerate(outcome.witness or ())],
+        "certificate_files": [] if g is None else [write("certificate.ncmx", g)],
         "certificate": cert.to_dict() if cert else None,
         "note": CERTIFICATE_NOTE,
     }

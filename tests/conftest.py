@@ -22,15 +22,11 @@ from netcm.covariance import BlockCovarianceMatrix, _raw_moments, covariance_mat
 from netcm.criteria import _margin_given_means
 from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                FeasibilityOutcome, FeasibilityProblem,
-                               InfeasibilityCertificate, _hyperplane_test, _Stack,
-                               _uncovered_pair, verify_certificate)
+                               InfeasibilityCertificate, _certificate_terms, _Stack,
+                               _uncovered_pair)
 from netcm.linalg import SubsystemLayout, partial_trace, permute_subsystems, psd_project
 from netcm.observables import ObservableSet, full_product_set
 from netcm.states import DensityOperator, random_source, triangle_layout
-
-# plain_dykstra's own plateau rule: a residual plateau below RESIDUAL_FLOOR *
-# max(1, max|Gamma_ij|) is rounding, not evidence of infeasibility
-RESIDUAL_FLOOR = 1e-12
 
 
 def naive_partial_trace(rho, dims, keep):
@@ -558,13 +554,10 @@ def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
 
     Stops as soon as the PSD iterate satisfies the affine constraints within
     ``tol`` (status "feasible", the iterate is the witness), or as soon as a
-    separating-hyperplane certificate verifies (status "infeasible", see the
+    certificate G passes ``feasibility``'s test (status "infeasible", see its
     module docstring).  A CM block between two nodes that no source links
     is "infeasible" at once, with that pair as the certificate.  At
-    ``max_iter`` without a certificate the verdict is "infeasible-evidence"
-    if the residual plateaued at or above both ``10 * tol`` and the rounding
-    floor ``RESIDUAL_FLOOR * max(1, max|Gamma_ij|)`` (1e-12 relative) over
-    the last tenth of the run, else "inconclusive".
+    ``max_iter`` with neither the verdict is "inconclusive".
 
     ``tol`` must be > 0: a floating-point residual need not ever reach zero.
     """
@@ -579,11 +572,10 @@ def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
         return FeasibilityOutcome("infeasible", None, blocked, 0, np.array([blocked]), cert)
     stack = _Stack(problem)
-    a0 = stack.start()
-    trace = problem.gamma.trace()
+    gamma, trace = problem.gamma.matrix, problem.gamma.trace()
     # Dykstra needs no correction term for the affine set: its correction
     # lies in lin(A)^perp, which the projection onto A ignores
-    x = psd_project(a0)
+    x = psd_project(stack.start())
     p = np.zeros_like(x)
     history = np.empty(max_iter)
     status, certificate, next_check = "inconclusive", None, 1
@@ -597,19 +589,14 @@ def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
             break
         if it == next_check or it == max_iter:
             next_check *= 2
-            sep = stack.separator(y - x)
-            ok, eps, inner, delta = _hyperplane_test(sep, a0, trace)
-            if ok:
-                cert = InfeasibilityCertificate(stack.to_full(sep), epsilon=eps, inner_product=inner,
-                                                delta=delta, iteration=it)
-                if verify_certificate(problem, cert):
-                    status, certificate = "infeasible", cert
-                    break
+            g = stack.scatter(stack.separator(y - x))
+            eps, inner, delta = _certificate_terms(g, gamma, stack.index)
+            if inner < -eps * trace - delta:
+                status = "infeasible"
+                certificate = InfeasibilityCertificate(g, epsilon=eps, inner_product=inner,
+                                                       delta=delta, iteration=it)
+                break
     history = history[:it]
-    plateau = history[-max(1, max_iter // 10):].min()
-    floor = RESIDUAL_FLOOR * max(1.0, float(np.abs(problem.gamma.matrix).max(initial=0.0)))
-    if status == "inconclusive" and plateau >= max(10.0 * tol, floor):
-        status = "infeasible-evidence"
     witness = stack.to_full(y) if status == "feasible" else None
     return FeasibilityOutcome(status, witness, float(history[-1]), it, history, certificate)
 

@@ -571,10 +571,9 @@ class TestFeasibility:
         problem = FeasibilityProblem(
             covariance_matrix(named_observable_set("pauli-z", rho.layout), rho),
             triangle_topology())
-        separator = tuple(read_matrix(tmp_path / "w" / f).real
-                          for f in manifest["certificate_files"])
-        assert len(separator) == 3
-        assert verify_certificate(problem, InfeasibilityCertificate(separator))
+        assert manifest["certificate_files"] == ["certificate.ncmx"]
+        g = read_matrix(tmp_path / "w" / "certificate.ncmx").real
+        assert verify_certificate(problem, InfeasibilityCertificate(g))
 
     def test_uncovered_pair_report(self, tmp_path, capsys):
         code = run(["feasibility", "--state", "ghz", "--parties", "5", "--visibility", "0.3",
@@ -650,7 +649,7 @@ class TestFeasibility:
                     "pauli-z", "--topology", "triangle", "--slack"]) == 64
 
     @pytest.mark.parametrize("case", ["btn", "ghz3", "unfed"])
-    def test_manifest_lists_one_summand_per_file(self, case, tmp_path, rng, capsys):
+    def test_manifest_lists_one_summand_per_witness_file(self, case, tmp_path, rng, capsys):
         from conftest import with_unfed_node
         from netcm.covariance import covariance_matrix, save_cm
         from netcm.observables import full_product_set
@@ -672,8 +671,12 @@ class TestFeasibility:
         code = run(["feasibility", *argv, "--witness-dir", str(tmp_path / "w")])
         assert code == (1 if case == "ghz3" else 0)
         manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
-        files = manifest["witness_files"] or manifest["certificate_files"]
-        assert len(manifest["summands"]) == len(files) == (4 if case == "unfed" else 3)
+        assert len(manifest["summands"]) == (4 if case == "unfed" else 3)
+        if case == "ghz3":
+            assert manifest["witness_files"] == []
+            assert manifest["certificate_files"] == ["certificate.ncmx"]
+        else:
+            assert len(manifest["witness_files"]) == len(manifest["summands"])
         assert manifest["summands"][:3] == [["B", "C"], ["C", "A"], ["A", "B"]]
         if case == "unfed":
             assert manifest["summands"][3] == ["D"]

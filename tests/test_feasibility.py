@@ -38,6 +38,14 @@ def ghz_problem(v):
     return FeasibilityProblem(g, triangle_topology())
 
 
+def ghz4_three_node_source_problem(v):
+    """GHZ4 on pauli-z with sources (A, B, C), (A, D), (B, D), (C, D)."""
+    rho = mix_white_noise(ghz_state(4, 2), v)
+    g = covariance_matrix(named_observable_set("pauli-z", rho.layout), rho)
+    topo = NetworkTopology(("A", "B", "C", "D"), (("A", "B", "C"), ("A", "D"), ("B", "D"), ("C", "D")))
+    return FeasibilityProblem(g, topo)
+
+
 def w_problem(v):
     rho = mix_white_noise(w_state(), v)
     g = covariance_matrix(named_observable_set("w-set", rho.layout), rho)
@@ -209,7 +217,7 @@ class TestUnfedNode:
         prob = FeasibilityProblem(with_unfed_node(ghz_problem(0.8).gamma, rng), TRIANGLE_AND_D)
         out = solve(prob)
         assert out.status == "infeasible"
-        assert len(out.certificate.separator) == 4
+        assert out.certificate.matrix.shape == (prob.gamma.dim, prob.gamma.dim)
         assert verify_certificate(prob, out.certificate)
 
     def test_correlated_unfed_node_is_an_uncovered_pair(self):
@@ -260,17 +268,15 @@ class TestAnderson:
 
     def test_w_near_boundary_certificates_no_later(self):
         # plain Dykstra converges slowly here: within 1000 iterations it leaves
-        # some feasible CMs at infeasible-evidence or inconclusive, which the
-        # accelerated solver resolves with a verified witness.  solve has no
-        # infeasible-evidence: a cap hit without a certificate is inconclusive
+        # some feasible CMs inconclusive, which the accelerated solver
+        # resolves with a verified witness
         for seed, v in NEAR_W:
             prob = near_boundary_problem(w_state(), seed, v)
             out, ref = solve(prob, max_iter=1000), plain_dykstra(prob, max_iter=1000)
-            ref_status = "inconclusive" if ref.status == "infeasible-evidence" else ref.status
-            assert (out.status == "infeasible") == (ref_status == "infeasible"), (seed, v)
+            assert (out.status == "infeasible") == (ref.status == "infeasible"), (seed, v)
             if ref.certificate is not None:
                 assert out.certificate.iteration <= ref.certificate.iteration, (seed, v)
-            if out.status != ref_status:
+            if out.status != ref.status:
                 assert out.status == "feasible", (seed, v)
             if out.status == "feasible":
                 assert verify_witness(prob, out.witness), (seed, v)
@@ -289,8 +295,7 @@ class TestAnderson:
             out, ref = solve(prob), plain_dykstra(prob)
             assert out.iterations == ref.iterations == out.certificate.iteration == 1
             assert out.residual == ref.residual
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(out.certificate.separator, ref.certificate.separator))
+            assert np.array_equal(out.certificate.matrix, ref.certificate.matrix)
 
     def test_psd_project_sees_only_symmetric_stacks(self, monkeypatch):
         seen = []
@@ -355,38 +360,71 @@ class TestCertificate:
 
     def test_rejects_sign_flip(self):
         prob = ghz_problem(0.8)
+        g = solve(prob).certificate.matrix
+        assert verify_certificate(prob, InfeasibilityCertificate(g))
+        assert not verify_certificate(prob, InfeasibilityCertificate(-g))
+
+    def test_rejects_principal_block_lowered_beyond_eps(self):
+        # H is orthogonal to Gamma on the rows of source (B, C), so G - H keeps
+        # <G, Gamma> and lowers lambda_min of that principal submatrix
+        prob = ghz_problem(0.8)
+        g = solve(prob).certificate.matrix
+        h = np.zeros_like(g)
+        h[1, 1], h[2, 2] = 1.0, -1.0
+        assert np.vdot(h, prob.gamma.matrix) == 0.0
+        assert not verify_certificate(prob, InfeasibilityCertificate(g - h))
+
+    def test_rejects_non_finite_zero_and_asymmetric_matrices(self):
+        prob = ghz_problem(0.8)
+        g = solve(prob).certificate.matrix
+        assert not verify_certificate(prob, InfeasibilityCertificate(np.zeros_like(g)))
+        for value in (np.nan, np.inf):
+            bad = g.copy()
+            bad[0, 0] = value
+            assert not verify_certificate(prob, InfeasibilityCertificate(bad))
+        # eigvalsh reads one triangle only, so an asymmetric G must not reach it
+        bad = g.copy()
+        bad[0, 1] -= 1.0
+        assert not verify_certificate(prob, InfeasibilityCertificate(bad))
+
+    def test_wrong_shape_raises(self):
+        prob = ghz_problem(0.8)
+        g = solve(prob).certificate.matrix
+        for bad in (g[:2, :2], np.stack([g, g]), None):
+            with pytest.raises(ValueError, match="shape"):
+                verify_certificate(prob, InfeasibilityCertificate(bad))
+
+    @pytest.mark.parametrize("v", [0.6, 0.9])
+    def test_three_node_source_proved(self, v):
+        prob = ghz4_three_node_source_problem(v)
+        out = solve(prob)
+        assert (out.status, out.iterations, out.certificate.iteration) == ("infeasible", 1, 1)
+        assert verify_certificate(prob, out.certificate)
+
+    def test_three_node_source_feasible_below_threshold(self):
+        # the trace-norm criterion holds up to v = 4/9 on this network
+        out = solve(ghz4_three_node_source_problem(0.4))
+        assert out.status == "feasible"
+        assert out.certificate is None
+
+    @pytest.mark.parametrize("make", [lambda: ghz_problem(0.8),
+                                      lambda: ghz4_three_node_source_problem(0.9)],
+                             ids=["triangle", "three-node-source"])
+    def test_never_certifies_a_decomposable_cm(self, make):
+        # Sigma_k A_k A_k^T with A_k on summand k's rows decomposes by construction
+        prob = make()
         cert = solve(prob).certificate
-        flipped = InfeasibilityCertificate(tuple(-t for t in cert.separator))
-        assert not verify_certificate(prob, flipped)
-
-    def test_rejects_separator_off_the_normal_space(self):
-        # shifting one node's diagonal block between its two carriers leaves
-        # lin(A)^perp; the projection back would hide the change
-        prob = ghz_problem(0.8)
-        sep = [t.copy() for t in solve(prob).certificate.separator]
-        a = prob.gamma.node_slice("A")
-        sep[1][a, a] += 0.5  # source (C, A)
-        sep[2][a, a] -= 0.5  # source (A, B)
-        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
-
-    def test_rejects_eigenvalue_beyond_slack(self):
-        # A is outside source (B, C), so its diagonal block of summand 0 is
-        # pinned to zero: changing it keeps <Y, a0> and lowers lambda_min
-        prob = ghz_problem(0.8)
-        sep = [t.copy() for t in solve(prob).certificate.separator]
-        a = prob.gamma.node_slice("A")
-        assert verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
-        sep[0][a, a] -= 1.0
-        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
-
-    def test_rejects_non_finite_and_zero_separators(self):
-        prob = ghz_problem(0.8)
-        sep = [t.copy() for t in solve(prob).certificate.separator]
-        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(0 * t for t in sep)))
-        sep[0][0, 0] = np.nan
-        assert not verify_certificate(prob, InfeasibilityCertificate(tuple(sep)))
-        with pytest.raises(ValueError, match="separator"):
-            verify_certificate(prob, InfeasibilityCertificate(tuple(sep[:2])))
+        g, n = prob.gamma, prob.gamma.dim
+        rng = np.random.default_rng(7)
+        rows = feasibility._summand_rows(prob)
+        for _ in range(200):
+            m = np.zeros((n, n))
+            for ix in rows:
+                a = rng.standard_normal((len(ix), rng.integers(1, len(ix) + 1)))
+                m[np.ix_(ix, ix)] += a @ a.T
+            other = FeasibilityProblem(BlockCovarianceMatrix(m, g.block_sizes, g.node_labels),
+                                       prob.topology)
+            assert not verify_certificate(other, cert)
 
     def test_uncovered_pair_certificate(self):
         rho = mix_white_noise(ghz_state(5, 2), 0.3)
@@ -526,13 +564,12 @@ class TestExport:
         manifest = json.loads(export_witness(prob, out, tmp_path / "c").read_text())
         assert manifest["status"] == "infeasible"
         assert manifest["witness_files"] == []
-        assert manifest["certificate_files"] == ["certificate_0.ncmx", "certificate_1.ncmx",
-                                                 "certificate_2.ncmx"]
+        assert manifest["certificate_files"] == ["certificate.ncmx"]
         assert manifest["certificate"]["kind"] == "separating-hyperplane"
-        back = [read_matrix(tmp_path / "c" / f) for f in manifest["certificate_files"]]
-        assert all(np.abs(m.imag).max() == 0.0 for m in back)
-        cert = InfeasibilityCertificate(tuple(m.real for m in back))
-        assert verify_certificate(prob, cert)
+        back = read_matrix(tmp_path / "c" / "certificate.ncmx")
+        assert np.abs(back.imag).max() == 0.0
+        assert np.array_equal(back.real, out.certificate.matrix)
+        assert verify_certificate(prob, InfeasibilityCertificate(back.real))
 
     def test_line_topology_problem(self, rng):
         # four-node line network: the summands chain the off-diagonal blocks

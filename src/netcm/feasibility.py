@@ -181,7 +181,7 @@ def _certificate_terms(g: np.ndarray, gamma: np.ndarray,
     m = max(len(ix) for ix in rows)
     blocks = np.zeros((len(rows), m, m))
     for b, ix in zip(blocks, rows):
-        b[:len(ix), :len(ix)] = g[np.ix_(ix, ix)]
+        b[:len(ix), :len(ix)] = g[ix[:, None], ix]
     eps = max(0.0, -float(np.linalg.eigvalsh(blocks)[:, 0].min()))
     delta = CERT_RTOL * float(np.linalg.norm(g)) * float(np.linalg.norm(gamma))
     return eps, float(np.vdot(g, gamma)), delta
@@ -260,7 +260,7 @@ class _Stack:
         separator, whose carriers agree on every shared (diagonal) block."""
         g = np.zeros((self.n, self.n))
         for zk, ix in zip(z, self.index):
-            g[np.ix_(ix, ix)] = zk[:len(ix), :len(ix)]
+            g[ix[:, None], ix] = zk[:len(ix), :len(ix)]
         return g
 
     def to_full(self, z: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -315,7 +315,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
         return FeasibilityOutcome("infeasible", None, blocked, 0, np.array([blocked]), cert)
     stack = _Stack(problem)
-    gamma, trace = problem.gamma.matrix, problem.gamma.trace()
+    trace = problem.gamma.trace()
     w = psd_project(stack.start())
     history, diffs = [], []  # residuals; Anderson's (dW, dF) pairs, oldest first
     status, certificate, next_check = "inconclusive", None, 1
@@ -332,7 +332,7 @@ def solve(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         if it == next_check or it == max_iter:
             next_check *= 2
             g = stack.scatter(stack.separator(y - x))
-            eps, inner, delta = _certificate_terms(g, gamma, stack.index)
+            eps, inner, delta = _certificate_terms(g, problem.gamma.matrix, stack.index)
             if inner < -eps * trace - delta:
                 status = "infeasible"
                 certificate = InfeasibilityCertificate(g, epsilon=eps, inner_product=inner,

@@ -572,7 +572,7 @@ def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         cert = InfeasibilityCertificate(pair=pair, block_max_abs=blocked)
         return FeasibilityOutcome("infeasible", None, blocked, 0, np.array([blocked]), cert)
     stack = _Stack(problem)
-    gamma, trace = problem.gamma.matrix, problem.gamma.trace()
+    trace = problem.gamma.trace()
     # Dykstra needs no correction term for the affine set: its correction
     # lies in lin(A)^perp, which the projection onto A ignores
     x = psd_project(stack.start())
@@ -590,7 +590,7 @@ def plain_dykstra(problem: FeasibilityProblem, tol: float = DEFAULT_TOL,
         if it == next_check or it == max_iter:
             next_check *= 2
             g = stack.scatter(stack.separator(y - x))
-            eps, inner, delta = _certificate_terms(g, gamma, stack.index)
+            eps, inner, delta = _certificate_terms(g, problem.gamma.matrix, stack.index)
             if inner < -eps * trace - delta:
                 status = "infeasible"
                 certificate = InfeasibilityCertificate(g, epsilon=eps, inner_product=inner,

@@ -14,8 +14,9 @@ ANDERSON_DEPTH differences of w and of f, and c minimises
 ||f - dF c||^2 + ANDERSON_REG ||f||^2 ||c||^2.  Weighting the Tikhonov term
 by ||f||^2 turns the extrapolation off when f stagnates at a nonzero gap, as
 it does for an infeasible CM, so there the pair a certificate is read from
-follows plain Dykstra.  Iteration 1 is a plain step from P+(a0), bitwise
-that of plain Dykstra, so a certificate found there is plain Dykstra's.  A
+follows plain Dykstra.  Iteration 1 is a plain step from P+(a0), a0 the
+point of A that gives each carrier an equal share of every diagonal block,
+bitwise that of plain Dykstra, so a certificate found there is plain Dykstra's.  A
 PSD iterate within the target tol * max|Gamma_ij| of the affine
 constraints, relative to the CM's own scale, is returned as an explicit witness.
 The target scales with the CM at every size, so a verdict does not depend

@@ -18,10 +18,10 @@ from .states import (
     ghz_state,
     maximally_mixed,
     mix_white_noise,
+    network_layout,
     network_state,
     pure_state,
     split_nodes,
-    triangle_layout,
     w_state,
 )
 from .observables import (

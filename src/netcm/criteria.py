@@ -35,8 +35,8 @@ from .covariance import (BlockCovarianceMatrix, _block_cm, _centred, _node_stack
                          white_noise_moments)
 from .linalg import SubsystemLayout, psd_margin, trace_norm
 from .observables import ObservableSet, _full_product_stack, orthogonal_basis
-from .states import DensityOperator, triangle_layout
-from .topology import NetworkTopology
+from .states import DensityOperator, factor_places, network_layout
+from .topology import NetworkTopology, triangle_topology
 
 __all__ = [
     "CriterionReport", "BtnDecomposition",
@@ -118,11 +118,6 @@ def trace_norm_criterion(gamma: BlockCovarianceMatrix, topology: NetworkTopology
 
 # -- triangle source decomposition ------------------------------------------
 
-# cyclic wiring of the triangle: each source spans (first node's second
-# factor, second node's first factor), matching the standard assembly
-_TRIANGLE_WIRING = ((0, 1), (1, 2), (2, 0))  # node-index pairs (X, Y) with span (X2, Y1)
-
-
 def _factor_moments(rows, means: np.ndarray, second: np.ndarray) -> tuple[dict, dict]:
     """Means and complex CMs of every factor, indexed out of the kernel's moments."""
     a = {l: means[r] for l, r in rows.items()}
@@ -191,29 +186,36 @@ class BtnDecomposition:
         return self.t_c + self.t_b + self.t_a + self.r
 
 
+def _wiring(factors: Mapping[str, tuple[str, str]]) -> list[tuple[str, str]]:
+    """The factor pair (X2, Y1) each source of the triangle on ``factors``' nodes feeds,
+    in declaration order, as :func:`~netcm.states.factor_places` places it."""
+    topo = triangle_topology(tuple(factors))
+    return [tuple(factors[x][j] for x, j in zip(s, p))
+            for s, p in zip(topo.sources, factor_places(topo))]
+
+
 def _source_parts(factors: Mapping[str, tuple[str, str]], means, cms,
                   cross: Callable[[str, str], np.ndarray]) -> list[np.ndarray]:
-    """Padded source summands, one per wiring (X, Y) in ``_TRIANGLE_WIRING``.
+    """Padded source summands of sources a, b, c, one per pair (X2, Y1) of :func:`_wiring`.
 
     The summand of the source on (X2, Y1) is the CM of its reduced
     observables, built from marginals alone: |a_X1><a_X1| x Re Gamma_X2 on
     node X, Re Gamma_Y1 x |b_Y2><b_Y2| on node Y, and a_X1 x C x b_Y2
     between them, with C = ``cross(X2, Y1)`` the source's cross CM.
     """
-    nodes = tuple(factors)
-    sizes = [len(means[f1]) * len(means[f2]) for f1, f2 in factors.values()]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    span = {x: slice(offsets[i], offsets[i + 1]) for i, x in enumerate(nodes)}
+    node = {f: x for x, fs in factors.items() for f in fs}
+    sizes = {x: len(means[f1]) * len(means[f2]) for x, (f1, f2) in factors.items()}
+    offsets = np.concatenate([[0], np.cumsum(list(sizes.values()))])
+    span = {x: slice(lo, hi) for x, lo, hi in zip(factors, offsets, offsets[1:])}
     parts = []
-    for xi, yi in _TRIANGLE_WIRING:
-        x, y = nodes[xi], nodes[yi]
-        fx, fy = factors[x][1], factors[y][0]  # source spans (X2, Y1)
+    for fx, fy in _wiring(factors):
+        x, y = node[fx], node[fy]
         ax1, by2 = means[factors[x][0]], means[factors[y][1]]
         t = np.zeros((offsets[-1], offsets[-1]))
         # the real parts of the complex factor CMs are the symmetrized ones
         t[span[x], span[x]] = np.kron(np.outer(ax1, ax1), cms[fx].real)
         t[span[y], span[y]] = np.kron(cms[fy].real, np.outer(by2, by2))
-        blk = np.einsum("a,bg,d->abgd", ax1, cross(fx, fy), by2).reshape(sizes[xi], sizes[yi])
+        blk = np.einsum("a,bg,d->abgd", ax1, cross(fx, fy), by2).reshape(sizes[x], sizes[y])
         t[span[x], span[y]] = blk
         t[span[y], span[x]] = blk.T
         parts.append(t)
@@ -223,21 +225,20 @@ def _source_parts(factors: Mapping[str, tuple[str, str]], means, cms,
 def btn_decompose(sources: Sequence[DensityOperator]) -> BtnDecomposition:
     """Source decomposition of the full-product CM of a triangle state, from source marginals.
 
-    ``sources`` are the three bipartite source states (a, b, c) placed on
-    (B2, C1), (C2, A1) and (A2, B1).  One kernel call per source, on its two
-    factors whatever its node grouping, gives the summands' inputs
-    (:func:`_source_parts`); the remainder is the Kronecker product of
-    single-factor marginal CMs.
+    ``sources`` are the three bipartite source states (a, b, c) of
+    :func:`~netcm.states.btn_assemble`, on (B2, C1), (C2, A1) and (A2, B1).
+    One kernel call per source, on its two factors whatever its node
+    grouping, gives the summands' inputs (:func:`_source_parts`); the
+    remainder is the Kronecker product of single-factor marginal CMs.
     """
     for name, src in zip("abc", sources):
         if len(src.layout.dims) != 2 or src.layout.dims[0] != src.layout.dims[1]:
             raise ValueError(f"source {name} must be bipartite d x d, has dims {src.layout.dims}")
-    layout = triangle_layout({name: src.layout.dims[0] for name, src in zip("abc", sources)})
+    layout = network_layout(triangle_topology(), [src.layout.dims for src in sources])
     factors = {x: layout.factors_of(x) for x in layout.node_order}  # (A, B, C)
 
-    # each source is ordered (X2, Y1), as its wiring spans it
     means, cms, cross = {}, {}, {}
-    for placed, src in zip((("B2", "C1"), ("C2", "A1"), ("A2", "B1")), sources):
+    for placed, src in zip(_wiring(factors), sources):
         basis = orthogonal_basis(src.layout.dims[0])
         n = len(basis)
         a, second = _stacked_moments({p: ((l,), basis) for p, l in zip(placed, src.layout.labels)}, src)
@@ -246,7 +247,7 @@ def btn_decompose(sources: Sequence[DensityOperator]) -> BtnDecomposition:
         cms.update(c)
         cross[placed] = _centred(a, second)[:n, n:]
 
-    t_c, t_a, t_b = _source_parts(factors, means, cms, lambda fx, fy: cross[fx, fy])
+    t_a, t_b, t_c = _source_parts(factors, means, cms, lambda fx, fy: cross[fx, fy])
     sizes = tuple(len(means[f1]) * len(means[f2]) for f1, f2 in factors.values())
     return BtnDecomposition(t_c, t_b, t_a, _kron_remainder(factors, cms), sizes, tuple(factors))
 

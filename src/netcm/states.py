@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .linalg import (
     permute_subsystems,
     require_hermitian,
 )
-from .topology import NetworkTopology
+from .topology import NetworkTopology, triangle_topology
 
 TRACE_TOL = 1e-10
 MIN_EIG_TOL = 1e-9
@@ -250,80 +250,64 @@ def mix_white_noise(rho: DensityOperator, v: float) -> DensityOperator:
     return DensityOperator._trusted(mixed, rho.layout)
 
 
-def triangle_layout(dims: Mapping[str, int] | int = 2) -> SubsystemLayout:
-    """Standard six-factor triangle layout A1 A2 B1 B2 C1 C2 (node-major).
+def factor_places(topology: NetworkTopology) -> list[tuple[int, ...]]:
+    """``[k][i]``: the place, from 0, of source k's factor among the factors of
+    its i-th node, by the ordering rule of :func:`network_state`."""
+    held = dict.fromkeys(topology.nodes, 0)
+    places = [list(s) for s in topology.sources]
+    for _, k, i in sorted((-i, k, i) for k, s in enumerate(topology.sources) for i in range(len(s))):
+        x = topology.sources[k][i]
+        places[k][i], held[x] = held[x], held[x] + 1
+    return [tuple(p) for p in places]
 
-    ``dims`` maps source name (``"a"``, ``"b"``, ``"c"``) to its local
-    dimension, or is a single dimension for all three sources.  Source a
-    feeds B2 and C1, b feeds C2 and A1, c feeds A2 and B1.
-    """
-    if isinstance(dims, int):
-        dims = {"a": dims, "b": dims, "c": dims}
-    da, db, dc = dims["a"], dims["b"], dims["c"]
-    return SubsystemLayout(
-        (db, dc, dc, da, da, db),
-        ("A1", "A2", "B1", "B2", "C1", "C2"),
-        ("A", "A", "B", "B", "C", "C"),
-    )
+
+def network_layout(topology: NetworkTopology, dims: Sequence[Sequence[int]]) -> SubsystemLayout:
+    """Node-major layout of a network state whose k-th source has factor dimensions
+    ``dims[k]``: node x holds ``<x>1``, ``<x>2``, ... placed by :func:`factor_places`."""
+    rank = {x: n for n, x in enumerate(topology.nodes)}
+    held = sorted((rank[x], j, d, f"{x}{j + 1}", x) for s, p, ds in
+                  zip(topology.sources, factor_places(topology), dims) for x, j, d in zip(s, p, ds))
+    return SubsystemLayout(*list(zip(*held))[2:])
 
 
 def btn_assemble(rho_a: DensityOperator, rho_b: DensityOperator, rho_c: DensityOperator) -> DensityOperator:
-    """Assemble the basic triangle-network state from three bipartite sources.
+    """The basic triangle-network state: :func:`network_state` on :func:`triangle_topology`.
 
-    Source a sits on B2 C1, b on C2 A1, c on A2 B1; the sources are tensored
-    in the order b, c, a and the result is returned in node-major order
-    A1 A2 B1 B2 C1 C2.
+    Each source must be bipartite d x d.  Source a feeds B2 C1, b feeds
+    C2 A1 and c feeds A2 B1, in the node-major layout A1 A2 B1 B2 C1 C2.
     """
     for name, src in (("a", rho_a), ("b", rho_b), ("c", rho_c)):
         if len(src.layout.dims) != 2 or src.layout.dims[0] != src.layout.dims[1]:
             raise ValueError(f"source {name} must be bipartite with equal local dimensions, "
                              f"got dims {src.layout.dims}")
-    da, db, dc = (s.layout.dims[0] for s in (rho_a, rho_b, rho_c))
-    big = np.kron(rho_b.matrix, np.kron(rho_c.matrix, rho_a.matrix))
-    transient = SubsystemLayout(
-        (db, db, dc, dc, da, da), ("C2", "A1", "A2", "B1", "B2", "C1")
-    )
-    mat = permute_subsystems(big, transient, ("A1", "A2", "B1", "B2", "C1", "C2"))
-    return DensityOperator._trusted(mat, triangle_layout({"a": da, "b": db, "c": dc}))
+    return network_state(triangle_topology(), (rho_a, rho_b, rho_c))
 
 
 def network_state(topology: NetworkTopology, sources: Sequence[DensityOperator]) -> DensityOperator:
     """Assemble a basic network state for an arbitrary topology.
 
     ``sources[k]`` is the state of the k-th declared source; its i-th factor
-    is delivered to the i-th node of that source.  Factors are tensored in
-    declared source order and permuted into node-major order, with each
-    node's factors ordered by source declaration index and labelled
-    ``<node>1``, ``<node>2``, ...
+    is delivered to the i-th node of that source.  The sources are tensored
+    in declared order and permuted into node-major order.  Each node labels
+    its factors ``<node>1``, ``<node>2``, ... and takes them in descending
+    order of its position within each source, ties in declaration order.
+    Reading a bipartite source (X, Y) as X -> Y, a node so takes its
+    incoming sources' factors before its outgoing ones, and each source of
+    :func:`triangle_topology` feeds (X2, Y1).
     """
     if len(sources) != len(topology.sources):
         raise ValueError(f"need {len(topology.sources)} source states, got {len(sources)}")
-    transient_dims, transient_labels, final_labels = [], [], {}
-    counters = {x: 0 for x in topology.nodes}
     for k, (members, src) in enumerate(zip(topology.sources, sources)):
         if len(src.layout.dims) != len(members):
-            raise ValueError(
-                f"source {k} connects {len(members)} nodes but its state has "
-                f"{len(src.layout.dims)} factors"
-            )
-        for node, d in zip(members, src.layout.dims):
-            counters[node] += 1
-            label = f"{node}{counters[node]}"
-            transient_dims.append(d)
-            transient_labels.append(label)
-            final_labels.setdefault(node, []).append(label)
-    big = sources[0].matrix
-    for src in sources[1:]:
-        big = np.kron(big, src.matrix)
-    transient = SubsystemLayout(tuple(transient_dims), tuple(transient_labels))
-    order, order_nodes = [], []
-    for x in topology.nodes:
-        for l in final_labels.get(x, []):
-            order.append(l)
-            order_nodes.append(x)
-    mat = permute_subsystems(big, transient, order)
-    dims = tuple(transient_dims[transient_labels.index(l)] for l in order)
-    return DensityOperator._trusted(mat, SubsystemLayout(dims, tuple(order), tuple(order_nodes)))
+            raise ValueError(f"source {k} connects {len(members)} nodes but its state has "
+                             f"{len(src.layout.dims)} factors")
+    dims = [src.layout.dims for src in sources]
+    layout = network_layout(topology, dims)
+    placed = zip(topology.sources, factor_places(topology))
+    wired = SubsystemLayout(sum(dims, ()),
+                            tuple(layout.factors_of(x)[j] for s, p in placed for x, j in zip(s, p)))
+    big = functools.reduce(np.kron, [src.matrix for src in sources])
+    return DensityOperator._trusted(permute_subsystems(big, wired, layout.labels), layout)
 
 
 def split_nodes(rho: DensityOperator, split: tuple[int, int]) -> DensityOperator:

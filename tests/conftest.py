@@ -26,7 +26,7 @@ from netcm.feasibility import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                _uncovered_pair)
 from netcm.linalg import SubsystemLayout, partial_trace, permute_subsystems, psd_project
 from netcm.observables import ObservableSet, full_product_set
-from netcm.states import DensityOperator, random_source, triangle_layout
+from netcm.states import DensityOperator, random_source
 
 
 def naive_partial_trace(rho, dims, keep):
@@ -114,6 +114,27 @@ def _max_margin_statistics(fidelity: float, grid_step: float, grid) -> float:
             if step < 1e-12:
                 break
     return best
+
+
+def triangle_layout(dims: Mapping[str, int]) -> SubsystemLayout:
+    """The triangle layout A1 A2 B1 B2 C1 C2, written out: source a feeds B2 C1,
+    b feeds C2 A1 and c feeds A2 B1; ``dims`` maps each source name to its d."""
+    da, db, dc = dims["a"], dims["b"], dims["c"]
+    return SubsystemLayout((db, dc, dc, da, da, db), ("A1", "A2", "B1", "B2", "C1", "C2"),
+                           ("A", "A", "B", "B", "C", "C"))
+
+
+def reference_btn_assemble(rho_a, rho_b, rho_c) -> DensityOperator:
+    """Triangle state from its own Kronecker product b x (c x a) and permutation.
+
+    The reference for ``states.btn_assemble``, which is ``network_state``
+    on the triangle topology and so tensors the sources as (a x b) x c.
+    """
+    da, db, dc = (s.layout.dims[0] for s in (rho_a, rho_b, rho_c))
+    big = np.kron(rho_b.matrix, np.kron(rho_c.matrix, rho_a.matrix))
+    transient = SubsystemLayout((db, db, dc, dc, da, da), ("C2", "A1", "A2", "B1", "B2", "C1"))
+    mat = permute_subsystems(big, transient, ("A1", "A2", "B1", "B2", "C1", "C2"))
+    return DensityOperator._trusted(mat, triangle_layout({"a": da, "b": db, "c": dc}))
 
 
 def reduced_observable_decomposition(sources) -> tuple[np.ndarray, ...]:

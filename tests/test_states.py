@@ -13,6 +13,7 @@ from netcm.states import (
     btn_assemble,
     cluster4_state,
     dicke_state,
+    factor_places,
     ghz_state,
     maximally_mixed,
     mix_white_noise,
@@ -23,7 +24,7 @@ from netcm.states import (
     split_nodes,
     w_state,
 )
-from netcm.topology import NetworkTopology
+from netcm.topology import NetworkTopology, triangle_topology
 
 from conftest import (
     KrausChannel,
@@ -38,6 +39,7 @@ from conftest import (
     permuted,
     random_kraus_channel,
     random_unitary,
+    reference_btn_assemble,
     swap_node_factors,
 )
 
@@ -269,6 +271,21 @@ class TestBtnAssemble:
         with pytest.raises(ValueError, match="bipartite"):
             btn_assemble(bad, bell_pair(2), bell_pair(2))
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 2)])
+    def test_matches_the_reference_assembler(self, dims, rng):
+        srcs = [random_source(d, rng) for d in dims]
+        rho, ref = btn_assemble(*srcs), reference_btn_assemble(*srcs)
+        assert rho.layout == ref.layout
+        assert np.abs(rho.matrix - ref.matrix).max() <= 1e-15
+
+    def test_b1_comes_from_source_c(self, random_triangle_sources):
+        # each triangle source (X, Y) feeds (X2, Y1): c = (A, B) feeds A2 and B1
+        assert factor_places(triangle_topology()) == [(1, 0)] * 3
+        rho_c = random_triangle_sources[2]
+        rho = btn_assemble(*random_triangle_sources)
+        c_second = marginal(rho_c, [rho_c.layout.labels[1]]).matrix
+        assert np.abs(marginal(rho, ["B1"]).matrix - c_second).max() <= 1e-12
+
 
 class TestLocalOperations:
     def test_identity_unitaries(self, random_triangle_sources):
@@ -423,6 +440,18 @@ class TestNetworkState:
         pair = node_marginal(rho, "2", "4").matrix
         assert np.abs(pair - np.kron(node_marginal(rho, "2").matrix,
                                      node_marginal(rho, "4").matrix)).max() <= 1e-12
+
+    def test_node_takes_incoming_before_outgoing(self, rng):
+        # node 1 is first in source 0 and second in source 1, so it takes the
+        # later-declared source's factor first
+        topo = NetworkTopology(("1", "2", "3"), (("1", "2"), ("3", "1")))
+        assert factor_places(topo) == [(1, 0), (0, 0)]
+        srcs = [random_source(2, rng), random_source(3, rng)]
+        rho = network_state(topo, srcs)
+        assert rho.layout.labels == ("11", "12", "21", "31")
+        assert rho.layout.dims == (3, 2, 2, 3)
+        into_1 = marginal(srcs[1], [srcs[1].layout.labels[1]]).matrix
+        assert np.abs(marginal(rho, ["11"]).matrix - into_1).max() <= 1e-12
 
     def test_source_count_mismatch(self, rng):
         topo = NetworkTopology(("1", "2", "3"), (("1", "2"), ("2", "3")))

@@ -153,9 +153,7 @@ def _btn_sources(params: dict) -> list[DensityOperator]:
     return [state_from_spec(s) for s in sub]
 
 
-def _parse_split(text: str | None) -> list[int] | None:
-    if not text:
-        return None
+def _parse_split(text: str) -> list[int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise SpecError(f"--split must look like 2x2, got {text!r}")
@@ -347,6 +345,20 @@ def _build_state_and_obs(args, spec: dict, criterion: str):
     return rho, args.observables, named_observable_set(args.observables, rho.layout)
 
 
+def _criterion_topology(args, rho: DensityOperator) -> NetworkTopology:
+    """``--topology`` on rho's nodes; with the triangle criteria, only the oriented sources
+    of ``triangle_topology`` in any order (a reversed cycle wires other factors)."""
+    nodes = rho.layout.node_order
+    topo = topology_from_spec(args.topology, nodes)
+    if args.criterion in TRIANGLE_CRITERIA and len(nodes) == 3:  # else the criterion says why not
+        triangle = triangle_topology(nodes)
+        if (set(topo.nodes), set(topo.sources)) != (set(nodes), set(triangle.sources)):
+            raise SpecError(f"{args.criterion} holds for the triangle topology "
+                            f"{json.dumps(triangle.to_spec())} only, not for "
+                            f"{json.dumps(topo.to_spec())}")
+    return topo
+
+
 def cmd_check(args) -> int:
     if args.criterion == "xi-psd" and args.tolerance is not None:
         raise SpecError("xi-psd uses its own scaled tolerance 1e-8*(1 + ||xi||_2); "
@@ -354,16 +366,14 @@ def cmd_check(args) -> int:
     tolerance = 1e-9 if args.tolerance is None else args.tolerance
     spec = state_spec_from_args(args)
     rho, obs_name, obs = _build_state_and_obs(args, spec, args.criterion)
-    topo = topology_from_spec(args.topology, rho.layout.node_order)
+    topo = _criterion_topology(args, rho)
     if args.criterion == "trace-norm":
         gamma = covariance_matrix(obs, rho)
         report = trace_norm_criterion(gamma, topo, tolerance=tolerance)
     elif args.criterion == "xi-psd":
         report = xi_report(rho)
-    elif args.criterion == "btn-residual":
+    else:  # btn-residual
         report = btn_residual_report(rho, threshold=tolerance)
-    else:
-        raise SpecError(f"unknown criterion {args.criterion!r}")
     if args.format == "csv":
         lines = ["criterion,lhs,rhs,margin,pass,tolerance",
                  f"{report.criterion},{report.lhs!r},{report.rhs!r},"
@@ -392,8 +402,7 @@ def cmd_scan(args) -> int:
     base_spec = state_spec_from_args(args)
     base_spec.pop("visibility", None)
     base, obs_name, obs = _build_state_and_obs(args, base_spec, args.criterion)
-    scan = WhiteNoiseScan(base, obs, args.criterion,
-                          topology_from_spec(args.topology, base.layout.node_order))
+    scan = WhiteNoiseScan(base, obs, args.criterion, _criterion_topology(args, base))
     rows = [scan.row(float(v)) for v in grid]
     threshold = scan.threshold(tol=args.tolerance) if args.refine else None
 

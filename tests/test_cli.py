@@ -111,6 +111,24 @@ class TestCheck:
         assert capsys.readouterr().out == default
         assert json.loads(default)["observables_spec"] == "full-product"
 
+    @pytest.mark.parametrize("flags, spec, topology", [
+        (["--state", "ghz", "--dim", "4", "--levels", "0,3"],
+         {"family": "ghz", "params": {"parties": 3, "dim": 4, "levels": [0, 3]}}, "triangle"),
+        (["--state", "ghz", "--dim", "3", "--levels", "full"],
+         {"family": "ghz", "params": {"parties": 3, "dim": 3, "levels": "full"}}, "triangle"),
+        (["--state", "bell", "--dim", "3"], {"family": "bell", "params": {"dim": 3}},
+         '{"nodes": ["1", "2"], "sources": [["1", "2"]]}'),
+    ], ids=["levels-0-3", "levels-full", "bell-dim-3"])
+    def test_flags_give_the_report_of_their_spec_file(self, flags, spec, topology, tmp_path,
+                                                      capsys):
+        tail = ["--observables", "full-product", "--topology", topology]
+        assert run(["check", *flags, *tail]) == 0
+        by_flags = capsys.readouterr().out
+        assert json.loads(by_flags)["state_spec"] == spec
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run(["check", "--state-json", f"@{tmp_path / 'spec.json'}", *tail]) == 0
+        assert capsys.readouterr().out == by_flags
+
     def test_state_json_with_nested_sources(self, capsys):
         spec = json.dumps({
             "family": "btn",
@@ -206,6 +224,43 @@ class TestCheck:
         run(argv + ["--output", str(tmp_path / "a.json")])
         run(argv + ["--output", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+_DICKE2 = ["--state", "dicke", "--k", "2", "--split", "2x2"]
+_TRIANGLE_CRITERIA_ARGV = {"check": ["check", *_DICKE2],
+                           "scan": ["scan", *_DICKE2, "--grid", "0:1:0.5"]}
+
+
+class TestTriangleCriteriaTopology:
+    """xi-psd and btn-residual are computed for the triangle's wiring, so reports name no other."""
+
+    @pytest.mark.parametrize("topology", [
+        "line",
+        '{"nodes": ["A", "B", "C"], "sources": [["C", "B"], ["A", "C"], ["B", "A"]]}',
+        '{"nodes": ["X", "Y", "Z"], "sources": [["Y", "Z"], ["Z", "X"], ["X", "Y"]]}',
+    ], ids=["line", "reversed", "foreign-nodes"])
+    @pytest.mark.parametrize("criterion", ["xi-psd", "btn-residual"])
+    @pytest.mark.parametrize("command", ["check", "scan"])
+    def test_other_topologies_are_64(self, command, criterion, topology, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = _TRIANGLE_CRITERIA_ARGV[command] + ["--criterion", criterion]
+        assert run(argv + ["--topology", topology, "--output", str(out)]) == 64
+        assert not out.exists()
+        assert f"{criterion} holds for the triangle topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "scan"])
+    def test_reordered_triangle_gives_the_default_report(self, command, capsys):
+        reordered = {"nodes": ["A", "B", "C"], "sources": [["A", "B"], ["B", "C"], ["C", "A"]]}
+        argv = _TRIANGLE_CRITERIA_ARGV[command] + ["--criterion", "xi-psd"]
+        reports = []
+        for topology in ([], ["--topology", "triangle"], ["--topology", json.dumps(reordered)]):
+            run(argv + topology)
+            reports.append(load_report(capsys))
+        assert reports[0] == reports[1]
+        if command == "check":
+            assert reports[2].pop("topology") == reordered
+            reports[0].pop("topology")
+        assert reports[2] == reports[0]
 
 
 class TestScan:
@@ -775,6 +830,19 @@ class TestErrors:
     def test_missing_file_is_74(self):
         assert run(["check", "--state-file", "/nonexistent/m.ncmx", "--dims", "2,2",
                     "--observables", "pauli-z"]) == 74
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--state", "dicke", "--k", "2", "--criterion", "xi-psd"], "pass --split"),
+        (["decompose", "--state", "w"], "decompose works on the btn family"),
+        (["check", "--state-file", "rho.ncmx", "--observables", "pauli-z"],
+         "--state-file needs --dims"),
+    ], ids=["xi-psd-unsplit", "decompose-w", "state-file-no-dims"])
+    def test_missing_or_misplaced_input_is_64(self, argv, message, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--output", "report.json"]) == 64
+        assert list(tmp_path.iterdir()) == []
+        assert message in capsys.readouterr().err
 
     def test_reports_never_contradict_exit_codes(self, capsys):
         for v, expected in (("0.3", 0), ("0.7", 1)):

@@ -267,7 +267,8 @@ def network_layout(topology: NetworkTopology, dims: Sequence[Sequence[int]]) -> 
     rank = {x: n for n, x in enumerate(topology.nodes)}
     held = sorted((rank[x], j, d, f"{x}{j + 1}", x) for s, p, ds in
                   zip(topology.sources, factor_places(topology), dims) for x, j, d in zip(s, p, ds))
-    return SubsystemLayout(*list(zip(*held))[2:])
+    _, _, dims, labels, nodes = zip(*held)
+    return SubsystemLayout(dims, labels, nodes)
 
 
 def btn_assemble(rho_a: DensityOperator, rho_b: DensityOperator, rho_c: DensityOperator) -> DensityOperator:

@@ -602,32 +602,37 @@ _TOLERANCES = {
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The argument parser: every command is listed, but only ``command`` gets its arguments.
+    """The parser of one command, or, for any other ``command``, the listing of all six.
 
-    Adding arguments is most of a parser's cost, and one invocation runs
-    one command.
+    Adding arguments is most of a parser's cost, and one invocation runs one
+    command, so the listing is built only when no command is named.
     """
+    if command in _COMMANDS:
+        _, handler, add_args = _COMMANDS[command]
+        parser = _Parser(prog=f"netcm {command}")
+        parser.set_defaults(func=handler)
+        add_args(parser)
+        if command in _TOLERANCES:
+            default, text = _TOLERANCES[command]
+            parser.add_argument("--tolerance", type=_tolerance, default=default, metavar="TOL",
+                                help=text)
+        return parser
     parser = _Parser(prog="netcm",
                      description="Covariance-matrix criteria for quantum network states")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, add_args) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=handler)
-        if name == command:
-            add_args(p)
-            if name in _TOLERANCES:
-                default, text = _TOLERANCES[name]
-                p.add_argument("--tolerance", type=_tolerance, default=default, metavar="TOL",
-                               help=text)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value, so the first word names the command
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
-        args = parser.parse_args(argv)
+        if not argv or argv[0] not in _COMMANDS:
+            # prints the listing for --help; anything else is a usage error
+            build_parser().parse_args(argv)
+            raise SpecError("the command must come first: netcm COMMAND [options]")
+        args = build_parser(argv[0]).parse_args(argv[1:])
         return args.func(args)
     except (ValueError, KeyError) as exc:  # SpecError and JSONDecodeError are ValueErrors
         print(f"netcm: {exc}", file=sys.stderr)

@@ -851,3 +851,42 @@ class TestErrors:
             report = load_report(capsys)
             assert code == expected
             assert report["pass"] == (code == 0)
+
+
+_COMMAND_NAMES = ("check", "scan", "decompose", "feasibility", "fidelity-bound", "schema")
+
+
+class TestParser:
+    """One invocation builds its own command's parser; the listing only for no command."""
+
+    @pytest.mark.parametrize("name", _COMMAND_NAMES)
+    def test_command_help(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: netcm {name} ")
+
+    def test_listing_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        listing = capsys.readouterr().out
+        assert all(name in listing for name in _COMMAND_NAMES)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus-command"], ["check", "--bogus"],
+                                      ["--", "schema"]],
+                             ids=["none", "unknown-command", "unknown-option", "command-not-first"])
+    def test_usage_errors_are_64(self, argv, capsys):
+        assert run(argv) == 64
+        assert capsys.readouterr().err.startswith("netcm: ")
+
+    def test_a_command_builds_no_listing(self, tmp_path, monkeypatch):
+        import argparse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the six-command listing was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", refuse)
+        out = tmp_path / "schema.json"
+        assert run(["schema", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["version"] == "1"

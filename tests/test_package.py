@@ -64,7 +64,7 @@ def test_readme_cli_examples_parse():
     commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("netcm ")]
     assert len(commands) >= 7
     for argv in commands:
-        build_parser(argv[0]).parse_args(argv)
+        build_parser(argv[0]).parse_args(argv[1:])
 
 
 def test_src_modules_use_every_import():

@@ -59,8 +59,8 @@ def triangle_topology(labels: Sequence[str] = ("A", "B", "C")) -> NetworkTopolog
 
 
 def line_topology(labels: Sequence[str]) -> NetworkTopology:
-    """Line network: bipartite sources between consecutive nodes."""
+    """Line network: bipartite sources between consecutive nodes; two nodes share one source."""
     labels = tuple(labels)
-    if len(labels) < 3:
-        raise ValueError("a line network needs at least three nodes")
+    if len(labels) < 2:
+        raise ValueError("a line network needs at least two nodes")
     return NetworkTopology(labels, tuple((labels[i], labels[i + 1]) for i in range(len(labels) - 1)))

@@ -890,3 +890,23 @@ class TestParser:
         out = tmp_path / "schema.json"
         assert run(["schema", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["version"] == "1"
+
+
+class TestTwoNodes:
+    """A two-node state defaults to its one bipartite source."""
+
+    def test_check_defaults_to_the_one_source(self, capsys):
+        tail = ["check", "--state", "bell", "--dim", "3", "--observables", "full-product"]
+        assert run(tail) == 0
+        default = capsys.readouterr().out
+        assert run(tail + ["--topology", '{"nodes": ["1", "2"], "sources": [["1", "2"]]}']) == 0
+        assert capsys.readouterr().out == default
+
+    def test_feasibility_is_feasible(self, capsys):
+        assert run(["feasibility", "--state", "bell", "--observables", "full-product"]) == 0
+        assert load_report(capsys)["status"] == "feasible"
+
+    def test_one_node_is_64(self, capsys):
+        assert run(["check", "--state-json", '{"family": "ghz", "params": {"parties": 1}}',
+                    "--observables", "pauli-z"]) == 64
+        assert "at least two nodes" in capsys.readouterr().err

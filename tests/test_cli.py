@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -881,8 +882,6 @@ class TestParser:
         assert capsys.readouterr().err.startswith("netcm: ")
 
     def test_a_command_builds_no_listing(self, tmp_path, monkeypatch):
-        import argparse
-
         def refuse(*args, **kwargs):
             raise AssertionError("the six-command listing was built")
 
